@@ -4,7 +4,11 @@
 //   C. op-amp ScL clamp on/off -> distance corruption and NN accuracy;
 //   D. monolithic (exact CSP) vs composite (digit-decomposed) scaling;
 //   E. ladder noise margin vs Monte-Carlo search accuracy.
+// Sections C and E run circuit-fidelity searches; the binary exits 1 when
+// any of their ScL solves fails to converge, since a capped solve leaves
+// an arbitrary current behind and every figure built on it is wrong.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 
@@ -20,6 +24,10 @@ namespace {
 
 using namespace ferex;
 using csp::DistanceMetric;
+
+std::uint64_t non_converged_solves(const core::FerexEngine& engine) {
+  return engine.array()->scl_solve_stats().non_converged;
+}
 
 double ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
@@ -73,8 +81,10 @@ void ablation_cell_size() {
   std::puts("(Euclidean-squared needs CR up to {1..5}: max DM entry is 9)");
 }
 
-void ablation_clamp() {
+/// Returns the number of ScL solves that did not converge.
+std::uint64_t ablation_clamp() {
   util::print_banner(std::cout, "C. op-amp ScL clamp on/off");
+  std::uint64_t non_converged = 0;
   util::TextTable t({"clamp", "distance error @ d=64", "NN accuracy (40 trials)"});
   for (bool clamp : {true, false}) {
     core::FerexOptions opt;
@@ -91,6 +101,7 @@ void ablation_clamp() {
     const double sensed =
         probe.row_currents(far_query).front() / probe.sense_unit();
     const double expected = 128.0;  // HD(0b00, 0b11) * 64
+    non_converged += non_converged_solves(probe);
 
     // NN accuracy with realistic variation.
     std::size_t correct = 0;
@@ -116,6 +127,7 @@ void ablation_clamp() {
       for (int i = 0; i < 9; ++i) db.push_back(flip(12));
       engine.store(db);
       if (engine.search(query).nearest == 0) ++correct;
+      non_converged += non_converged_solves(engine);
     }
     t.add_row({clamp ? "on" : "off (ablated)",
                util::TextTable::fmt(expected - sensed, 2) + " units",
@@ -123,6 +135,7 @@ void ablation_clamp() {
                    static_cast<double>(correct) / trials, 2)});
   }
   std::cout << t;
+  return non_converged;
 }
 
 void ablation_composite() {
@@ -158,9 +171,11 @@ void ablation_composite() {
             "see EncoderReport::resource_limited)");
 }
 
-void ablation_margin() {
+/// Returns the number of ScL solves that did not converge.
+std::uint64_t ablation_margin() {
   util::print_banner(std::cout,
                      "E. ladder noise margin vs MC accuracy (sigma_Vth = 54 mV)");
+  std::uint64_t non_converged = 0;
   util::TextTable t({"ladder step [V]", "margin [V]", "margin/sigma",
                      "accuracy (60 runs, HD 5 vs 6)"});
   for (double step : {0.20, 0.30, 0.40, 0.58}) {
@@ -192,6 +207,7 @@ void ablation_margin() {
       for (int i = 0; i < 15; ++i) db.push_back(at_hd(6));
       engine.store(db);
       if (engine.search(query).nearest == 0) ++correct;
+      non_converged += non_converged_solves(engine);
     }
     t.add_row({util::TextTable::fmt(step, 2),
                util::TextTable::fmt(step / 2.0, 2),
@@ -199,6 +215,7 @@ void ablation_margin() {
                util::TextTable::fmt(static_cast<double>(correct) / trials, 2)});
   }
   std::cout << t;
+  return non_converged;
 }
 
 }  // namespace
@@ -207,8 +224,14 @@ int main() {
   std::puts("=== FeReX design-choice ablations ===");
   ablation_ac3();
   ablation_cell_size();
-  ablation_clamp();
+  std::uint64_t non_converged = ablation_clamp();
   ablation_composite();
-  ablation_margin();
+  non_converged += ablation_margin();
+  if (non_converged > 0) {
+    std::fprintf(stderr,
+                 "bench_ablation: %llu ScL solves did not converge\n",
+                 static_cast<unsigned long long>(non_converged));
+    return 1;
+  }
   return 0;
 }

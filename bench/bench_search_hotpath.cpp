@@ -2,9 +2,10 @@
 // kernels — the regression guard for the flattened search path.
 //
 // For each geometry it measures, at circuit fidelity:
-//   * reference   — the retained per-device scalar kernel
-//                   (CrossbarArray::search_reference), biases re-derived
-//                   per query;
+//   * reference   — the retained reference kernel
+//                   (CrossbarArray::search_reference): biases and
+//                   per-device factors re-derived per query, then the
+//                   same row solve;
 //   * optimized   — the cached-table flat kernel (CrossbarArray::search);
 //   * intra-par   — the flat kernel with rows fanned across the worker
 //                   pool (equals optimized on 1-core hosts);

@@ -1,7 +1,9 @@
 #include "circuit/crossbar.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -12,27 +14,6 @@ namespace ferex::circuit {
 
 namespace {
 
-// Per-cell current with the subthreshold exponential in factored form
-// (see the header comment): gate_factor = exp(Vgs*a), vth_factor =
-// exp(-Vth*a), scl_factor = exp(-Vscl*a). Both the flat kernel and the
-// reference kernel funnel through this single expression — same
-// operations in the same association order — so their results agree bit
-// for bit; only how the factors are obtained differs (cached tables vs.
-// re-derived per cell).
-inline double cell_current_model(double vgs_eff_v, double vds_eff_v,
-                                 double vth_v, double inv_r,
-                                 double gate_factor, double vth_factor,
-                                 double scl_factor, double isat_a,
-                                 double min_leak_a) {
-  if (vds_eff_v <= 0.0) return 0.0;
-  const double fet_current =
-      vgs_eff_v >= vth_v
-          ? isat_a
-          : std::max(isat_a * ((gate_factor * vth_factor) * scl_factor),
-                     min_leak_a);
-  return std::min(fet_current, vds_eff_v * inv_r);
-}
-
 // Gate factors grow as exp(Vgs * ln10/SS); clamp the exponent so extreme
 // (sub-6 mV/dec) swing configurations saturate instead of producing inf
 // (which would turn inf * underflowed-vth_factor into NaN).
@@ -40,11 +21,189 @@ inline double gate_factor_for(double vgs_v, double alpha) {
   return std::exp(std::min(vgs_v * alpha, 700.0));
 }
 
-// The damped fixed-point ScL solve: v = R_src * I(v). Undamped iteration
-// oscillates when R_src * dI/dv is large (the unclamped ablation case);
-// 2-3 damped iterations suffice at clamped impedance levels.
-constexpr int kMaxSclIterations = 60;
+// The ScL operating point v = R_src * I(v), found by safeguarded Newton.
+// No cell's current rises with the ScL potential, so f(v) = v - R*I(v) is
+// strictly increasing with its root in [0, R*I(0)]: each step goes to
+// v - f/(1 + R*G), G = -dI/dv, or bisects the bracket when that would
+// leave it. That takes 2-3 steps with the op-amp clamp and 3-6 without
+// it, where R*G is large enough to throw a plain fixed-point iteration
+// into oscillation. Far from the root the subthreshold exponential makes
+// Newton crawl by about SS/ln10 per step, so a step that is not under
+// half the one before last bisects too (the classic rtsafe guard); at
+// the clamped and ablation operating points it never fires.
+constexpr int kMaxSclSteps = 60;
 constexpr double kSclToleranceV = 1e-7;
+
+// Two-lane double vectors (GCC/Clang vector extension). At the baseline
+// x86-64 ISA they are SSE2 registers; every lane operation is the IEEE
+// operation the scalar code would do, so results do not depend on how
+// the compiler schedules them. Selects go through bit masks, which both
+// compilers accept and which compile without branches.
+using Vec2 = double __attribute__((vector_size(16)));
+using Mask2 = std::int64_t __attribute__((vector_size(16)));
+
+inline Vec2 splat(double x) { return Vec2{x, x}; }
+inline Vec2 load2(const double* p) {
+  Vec2 v{};
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+/// Lane-wise `m ? a : b` for comparison masks (all-ones or all-zeros).
+inline Vec2 select(Mask2 m, Vec2 a, Vec2 b) {
+  return std::bit_cast<Vec2>((std::bit_cast<Mask2>(a) & m) |
+                             (std::bit_cast<Mask2>(b) & ~m));
+}
+/// Lane-wise `m ? a : 0`.
+inline Vec2 keep(Mask2 m, Vec2 a) {
+  return std::bit_cast<Vec2>(std::bit_cast<Mask2>(a) & m);
+}
+inline Mask2 less(Vec2 a, Vec2 b) { return std::bit_cast<Mask2>(a < b); }
+
+/// One row of devices under one query: the query's per-column biases and
+/// the row's per-device state, all indexed by device column.
+struct RowDevices {
+  const double* vgs;          ///< gate bias [V]
+  const double* vds;          ///< drain bias [V]
+  const double* gate_factor;  ///< exp(Vgs*a)
+  const double* vth;          ///< programmed Vth [V]
+  const double* inv_r;        ///< 1 / series R
+  const double* vth_factor;   ///< exp(-Vth*a)
+  std::size_t count;
+};
+
+/// Device constants shared by every cell of the array.
+struct CellModel {
+  double isat_a;
+  double min_leak_a;
+  double alpha;  ///< ln10 / SS [1/V]
+};
+
+/// Row current I(v) and its small-signal conductance G = -dI/dv >= 0 at
+/// one ScL potential.
+struct RowPass {
+  double current_a = 0.0;
+  double conductance_s = 0.0;
+};
+
+/// Per-pass constants, splatted once per pass.
+struct PassConstants {
+  Vec2 v_scl, scl_factor, isat, min_leak, alpha;
+};
+
+// Two cells' current I and conductance G = -dI/dv with the subthreshold
+// exponential in factored form (see the header comment): gate_factor =
+// exp(Vgs*a), vth_factor = exp(-Vth*a), scl_factor = exp(-Vscl*a). Per
+// cell,
+//   I = 0 when cut off (Vds_eff <= 0), else
+//     = min(Vgs_eff >= Vth ? Isat : max(term, leak), Vds_eff / R)
+// and G is 1/R ohmic, a*term subthreshold, and 0 saturated, on the
+// leakage floor or cut off. Every select takes one comparison's mask:
+// GCC 12 scalarizes a select on a combined mask into per-lane branches.
+inline void add_cells(Vec2 vgs, Vec2 vds, Vec2 vth, Vec2 inv_r, Vec2 gate,
+                      Vec2 vth_factor, const PassConstants& k, Vec2& current,
+                      Vec2& conductance) {
+  const Vec2 vgs_eff = vgs - k.v_scl;
+  const Vec2 vds_eff = vds - k.v_scl;
+  const Vec2 term = k.isat * ((gate * vth_factor) * k.scl_factor);
+  const Mask2 subthreshold = less(vgs_eff, vth);
+  const Mask2 above_floor = less(k.min_leak, term);
+  const Vec2 fet =
+      select(subthreshold, select(above_floor, term, k.min_leak), k.isat);
+  const Vec2 fet_conductance =
+      keep(subthreshold, k.alpha * keep(above_floor, term));
+  const Vec2 ohm = vds_eff * inv_r;
+  const Mask2 ohmic = less(ohm, fet);
+  const Mask2 conducting = less(Vec2{}, vds_eff);
+  current += keep(conducting, select(ohmic, ohm, fet));
+  conductance += keep(conducting, select(ohmic, inv_r, fet_conductance));
+}
+
+// One pass over a row. Device j adds into lane j mod 4 (lanes 0-1 and
+// 2-3 are the two vectors); the lanes join as (l0 + l1) + (l2 + l3). A
+// ragged tail is zero-padded: a padded cell has Vds = 0, is cut off at
+// any v >= 0 and adds exactly +0.
+RowPass row_pass(const RowDevices& row, const CellModel& model, double v_scl,
+                 double scl_factor) {
+  const PassConstants k{splat(v_scl), splat(scl_factor), splat(model.isat_a),
+                        splat(model.min_leak_a), splat(model.alpha)};
+  Vec2 current_lo{}, current_hi{}, conductance_lo{}, conductance_hi{};
+  const auto add_block = [&](const double* vgs, const double* vds,
+                             const double* gate, const double* vth,
+                             const double* inv_r, const double* vth_factor) {
+    add_cells(load2(vgs), load2(vds), load2(vth), load2(inv_r), load2(gate),
+              load2(vth_factor), k, current_lo, conductance_lo);
+    add_cells(load2(vgs + 2), load2(vds + 2), load2(vth + 2),
+              load2(inv_r + 2), load2(gate + 2), load2(vth_factor + 2), k,
+              current_hi, conductance_hi);
+  };
+  const std::size_t full = row.count - row.count % 4;
+  for (std::size_t j = 0; j < full; j += 4) {
+    add_block(row.vgs + j, row.vds + j, row.gate_factor + j, row.vth + j,
+              row.inv_r + j, row.vth_factor + j);
+  }
+  if (full < row.count) {
+    double tail[6][4] = {};
+    const double* const spans[6] = {row.vgs, row.vds, row.gate_factor,
+                                    row.vth, row.inv_r, row.vth_factor};
+    for (std::size_t s = 0; s < 6; ++s) {
+      std::copy(spans[s] + full, spans[s] + row.count, tail[s]);
+    }
+    add_block(tail[0], tail[1], tail[2], tail[3], tail[4], tail[5]);
+  }
+  return {(current_lo[0] + current_lo[1]) + (current_hi[0] + current_hi[1]),
+          (conductance_lo[0] + conductance_lo[1]) +
+              (conductance_hi[0] + conductance_hi[1])};
+}
+
+struct SclSolve {
+  double current_a = 0.0;
+  int steps = 0;
+  bool converged = true;
+};
+
+// The safeguarded Newton solve (see kMaxSclSteps). One step is one pass
+// after the first; the solve converges when a step moves v by less than
+// kSclToleranceV, and reports the current at the last v it evaluated.
+SclSolve solve_scl(const RowDevices& row, const CellModel& model,
+                   double source_res) {
+  SclSolve solve;
+  RowPass pass = row_pass(row, model, 0.0, 1.0);
+  if (source_res <= 0.0) {
+    solve.current_a = pass.current_a;
+    return solve;
+  }
+  double lo = 0.0;
+  double hi = source_res * pass.current_a;
+  double v_scl = 0.0;
+  double last_step = std::numeric_limits<double>::infinity();
+  double step_before = last_step;
+  solve.converged = false;
+  while (solve.steps < kMaxSclSteps) {
+    double v_next = v_scl - (v_scl - source_res * pass.current_a) /
+                                (1.0 + source_res * pass.conductance_s);
+    if (!(v_next >= lo && v_next <= hi) ||
+        std::abs(v_next - v_scl) > 0.5 * step_before) {
+      v_next = 0.5 * (lo + hi);
+    }
+    // exp(-Vscl*a) once per pass covers the whole row.
+    pass = row_pass(row, model, v_next, std::exp(-v_next * model.alpha));
+    ++solve.steps;
+    if (v_next - source_res * pass.current_a < 0.0) {
+      lo = v_next;
+    } else {
+      hi = v_next;
+    }
+    step_before = last_step;
+    last_step = std::abs(v_next - v_scl);
+    v_scl = v_next;
+    if (last_step < kSclToleranceV) {
+      solve.converged = true;
+      break;
+    }
+  }
+  solve.current_a = pass.current_a;
+  return solve;
+}
 
 }  // namespace
 
@@ -118,12 +277,12 @@ void CrossbarArray::init_derived_state() {
   live_rows_ = rows_;
 
   subvt_alpha_ = std::log(10.0) / (config_.fet.ss_mv_per_dec * 1e-3);
+  erased_vth_factor_ = std::exp(-config_.fet.vth_max_v * subvt_alpha_);
   inv_r_.resize(devices);
-  vth_factor_.resize(devices);
   for (std::size_t d = 0; d < devices; ++d) {
     inv_r_[d] = 1.0 / resistances_[d];
-    vth_factor_[d] = std::exp(-vth_[d] * subvt_alpha_);
   }
+  vth_factor_.assign(devices, erased_vth_factor_);
 
   // Per-(search value, fefet) bias tables: search() copies rows out of
   // these instead of chasing encoding/ladder indirections per query.
@@ -202,11 +361,10 @@ void CrossbarArray::append_row(std::span<const int> values, util::Rng& rng) {
         config_.cell.resistance_ohm * variation.sample_r_multiplier(rng);
   }
   vth_.resize(old_devices + per_row, config_.fet.vth_max_v);
+  vth_factor_.resize(old_devices + per_row, erased_vth_factor_);
   inv_r_.resize(old_devices + per_row);
-  vth_factor_.resize(old_devices + per_row);
   for (std::size_t d = old_devices; d < old_devices + per_row; ++d) {
     inv_r_[d] = 1.0 / resistances_[d];
-    vth_factor_[d] = std::exp(-vth_[d] * subvt_alpha_);
   }
   stored_values_.resize((rows_ + 1) * dims_, 0);
   live_.push_back(1);
@@ -228,7 +386,7 @@ void CrossbarArray::erase_row(std::size_t row) {
   const std::size_t base = row * per_row;
   for (std::size_t j = 0; j < per_row; ++j) {
     vth_[base + j] = config_.fet.vth_max_v;
-    vth_factor_[base + j] = std::exp(-vth_[base + j] * subvt_alpha_);
+    vth_factor_[base + j] = erased_vth_factor_;
   }
   live_[row] = 0;
   --live_rows_;
@@ -244,54 +402,6 @@ void CrossbarArray::overwrite_row(std::size_t row,
     live_[row] = 1;
     ++live_rows_;
   }
-}
-
-CrossbarArray::RowSolve CrossbarArray::solve_row(
-    std::size_t row, std::span<const double> vgs, std::span<const double> vds,
-    std::span<const double> gate_factors) const {
-  const double isat = config_.fet.isat_a;
-  const double min_leak = config_.fet.min_leak_a;
-  const std::size_t per_row = dims_ * fefets_per_cell_;
-  const std::size_t base = row * per_row;
-  const double* const vth = vth_.data() + base;
-  const double* const inv_r = inv_r_.data() + base;
-  const double* const vth_factor = vth_factor_.data() + base;
-  // All transcendentals are hoisted out of this loop: per device it is
-  // two subtractions, two compares, three multiplies and a min/max over
-  // contiguous spans — the vectorizable inner sum.
-  const auto total_current = [&](double v_scl, double scl_factor) {
-    double sum = 0.0;
-    for (std::size_t j = 0; j < per_row; ++j) {
-      sum += cell_current_model(vgs[j] - v_scl, vds[j] - v_scl, vth[j],
-                                inv_r[j], gate_factors[j], vth_factor[j],
-                                scl_factor, isat, min_leak);
-    }
-    return sum;
-  };
-
-  RowSolve solve;
-  const double source_res = source_res_ohm();
-  if (source_res <= 0.0) {
-    solve.current_a = total_current(0.0, 1.0);
-    return solve;
-  }
-  double v_scl = 0.0;
-  double current = total_current(0.0, 1.0);
-  solve.converged = false;
-  for (int iter = 0; iter < kMaxSclIterations; ++iter) {
-    const double v_next = 0.5 * (v_scl + current * source_res);
-    // exp(-Vscl*a) once per iteration covers the whole row.
-    current = total_current(v_next, std::exp(-v_next * subvt_alpha_));
-    ++solve.iterations;
-    if (std::abs(v_next - v_scl) < kSclToleranceV) {
-      v_scl = v_next;
-      solve.converged = true;
-      break;
-    }
-    v_scl = v_next;
-  }
-  solve.current_a = current;
-  return solve;
 }
 
 std::vector<double> CrossbarArray::search(std::span<const int> query,
@@ -317,8 +427,11 @@ std::vector<double> CrossbarArray::search(std::span<const int> query,
     std::copy_n(bias_gate_factor_.data() + src, fefets_per_cell_,
                 gate_factors.data() + dst);
   }
+  const CellModel model{config_.fet.isat_a, config_.fet.min_leak_a,
+                        subvt_alpha_};
+  const double source_res = source_res_ohm();
   std::vector<double> currents(rows_);
-  std::vector<RowSolve> solves(rows_);
+  std::vector<SclSolve> solves(rows_);
   const auto run_row = [&](std::size_t row) {
     if (live_[row] == 0) {
       // Erased row: branch disabled in the post-decoder. No solve runs
@@ -327,7 +440,11 @@ std::vector<double> CrossbarArray::search(std::span<const int> query,
       currents[row] = std::numeric_limits<double>::infinity();
       return;
     }
-    solves[row] = solve_row(row, vgs, vds, gate_factors);
+    const std::size_t base = row * per_row;
+    solves[row] = solve_scl(
+        {vgs.data(), vds.data(), gate_factors.data(), vth_.data() + base,
+         inv_r_.data() + base, vth_factor_.data() + base, per_row},
+        model, source_res);
     currents[row] = solves[row].current_a;
   };
   if (parallel_rows && rows_ > 1) {
@@ -340,7 +457,7 @@ std::vector<double> CrossbarArray::search(std::span<const int> query,
   std::uint64_t iterations = 0;
   std::uint64_t non_converged = 0;
   for (const auto& solve : solves) {
-    iterations += static_cast<std::uint64_t>(solve.iterations);
+    iterations += static_cast<std::uint64_t>(solve.steps);
     non_converged += solve.converged ? 0 : 1;
   }
   stat_solves_.fetch_add(live_rows_, std::memory_order_relaxed);
@@ -349,29 +466,20 @@ std::vector<double> CrossbarArray::search(std::span<const int> query,
   return currents;
 }
 
-double CrossbarArray::cell_current_reference(std::size_t dev, double vgs_v,
-                                             double vds_v,
-                                             double v_scl) const {
-  // Every factor re-derived from first principles, per cell, per
-  // iteration — the readable form of the cell model the cached tables
-  // must reproduce exactly.
-  const double gate_factor = gate_factor_for(vgs_v, subvt_alpha_);
-  const double vth_factor = std::exp(-vth_[dev] * subvt_alpha_);
-  const double scl_factor = std::exp(-v_scl * subvt_alpha_);
-  return cell_current_model(vgs_v - v_scl, vds_v - v_scl, vth_[dev],
-                            1.0 / resistances_[dev], gate_factor, vth_factor,
-                            scl_factor, config_.fet.isat_a,
-                            config_.fet.min_leak_a);
-}
-
 std::vector<double> CrossbarArray::search_reference(
     std::span<const int> query) const {
   if (query.size() != dims_) {
     throw std::invalid_argument("search: query.size() != dims");
   }
+  // Every factor re-derived from first principles instead of read from
+  // the cached tables: the biases from the encoding and ladder and
+  // exp(Vgs*a) per query, 1/R and exp(-Vth*a) per device per row. The
+  // solve itself is search()'s, so the two agree bit for bit by
+  // construction and any drift is a table or gather bug.
   const std::size_t per_row = dims_ * fefets_per_cell_;
   std::vector<double> vgs(per_row, 0.0);
   std::vector<double> vds(per_row, 0.0);
+  std::vector<double> gate_factors(per_row, 0.0);
   for (std::size_t dim = 0; dim < dims_; ++dim) {
     const int qv = query[dim];
     if (qv < 0 || static_cast<std::size_t>(qv) >= encoding_.search_count()) {
@@ -383,9 +491,14 @@ std::vector<double> CrossbarArray::search_reference(
       vgs[col] = ladder_.vsearch(static_cast<std::size_t>(level));
       vds[col] = config_.cell.vds_unit_v *
                  encoding_.vds_multiple(static_cast<std::size_t>(qv), i);
+      gate_factors[col] = gate_factor_for(vgs[col], subvt_alpha_);
     }
   }
+  const CellModel model{config_.fet.isat_a, config_.fet.min_leak_a,
+                        subvt_alpha_};
   const double source_res = source_res_ohm();
+  std::vector<double> inv_r(per_row);
+  std::vector<double> vth_factor(per_row);
   std::vector<double> currents(rows_);
   for (std::size_t row = 0; row < rows_; ++row) {
     if (live_[row] == 0) {
@@ -394,29 +507,15 @@ std::vector<double> CrossbarArray::search_reference(
       continue;
     }
     const std::size_t base = row * per_row;
-    const auto total_current = [&](double v_scl) {
-      double sum = 0.0;
-      for (std::size_t j = 0; j < per_row; ++j) {
-        sum += cell_current_reference(base + j, vgs[j], vds[j], v_scl);
-      }
-      return sum;
-    };
-    if (source_res <= 0.0) {
-      currents[row] = total_current(0.0);
-      continue;
+    for (std::size_t j = 0; j < per_row; ++j) {
+      inv_r[j] = 1.0 / resistances_[base + j];
+      vth_factor[j] = std::exp(-vth_[base + j] * subvt_alpha_);
     }
-    double v_scl = 0.0;
-    double current = total_current(0.0);
-    for (int iter = 0; iter < kMaxSclIterations; ++iter) {
-      const double v_next = 0.5 * (v_scl + current * source_res);
-      current = total_current(v_next);
-      if (std::abs(v_next - v_scl) < kSclToleranceV) {
-        v_scl = v_next;
-        break;
-      }
-      v_scl = v_next;
-    }
-    currents[row] = current;
+    currents[row] = solve_scl({vgs.data(), vds.data(), gate_factors.data(),
+                               vth_.data() + base, inv_r.data(),
+                               vth_factor.data(), per_row},
+                              model, source_res)
+                        .current_a;
   }
   return currents;
 }
@@ -439,14 +538,17 @@ int CrossbarArray::nominal_distance(std::span<const int> query,
 std::vector<int> CrossbarArray::nominal_distances(
     std::span<const int> query) const {
   validate_nominal_query(query);
-  // Hoist the per-dim LUT-row resolution out of the row loop; the row
-  // loop is then a gather over the contiguous stored values.
-  std::vector<const int*> lut_rows(dims_);
+  // Copy the query's per-dim LUT rows into one contiguous table, so the
+  // row loop is a gather from it over the contiguous stored values.
+  const std::size_t stored_count = encoding_.stored_count();
+  std::vector<int> lut(dims_ * stored_count);
   for (std::size_t dim = 0; dim < dims_; ++dim) {
-    lut_rows[dim] =
-        encoding_.nominal_currents(static_cast<std::size_t>(query[dim]))
-            .data();
+    const auto row =
+        encoding_.nominal_currents(static_cast<std::size_t>(query[dim]));
+    std::copy(row.begin(), row.end(),
+              lut.begin() + static_cast<std::ptrdiff_t>(dim * stored_count));
   }
+  const std::size_t full = dims_ - dims_ % 4;
   std::vector<int> out(rows_, 0);
   for (std::size_t row = 0; row < rows_; ++row) {
     if (live_[row] == 0) {
@@ -457,11 +559,21 @@ std::vector<int> CrossbarArray::nominal_distances(
       continue;
     }
     const int* const stored = stored_values_.data() + row * dims_;
-    int total = 0;
-    for (std::size_t dim = 0; dim < dims_; ++dim) {
-      total += lut_rows[dim][stored[dim]];
+    // Four independent partial sums; integer addition is exact in any
+    // order, so the result equals the reference's in-order sum.
+    int sums[4] = {0, 0, 0, 0};
+    const int* table = lut.data();
+    std::size_t dim = 0;
+    for (; dim < full; dim += 4, table += 4 * stored_count) {
+      sums[0] += table[stored[dim]];
+      sums[1] += table[stored_count + stored[dim + 1]];
+      sums[2] += table[2 * stored_count + stored[dim + 2]];
+      sums[3] += table[3 * stored_count + stored[dim + 3]];
     }
-    out[row] = total;
+    for (; dim < dims_; ++dim, table += stored_count) {
+      sums[0] += table[stored[dim]];
+    }
+    out[row] = (sums[0] + sums[1]) + (sums[2] + sums[3]);
   }
   return out;
 }

@@ -19,11 +19,20 @@
 //     = Isat * exp(Vgs*a) * exp(-Vth*a) * exp(-Vscl*a),   a = ln10 / SS
 //
 // so exp(Vgs*a) is cached per search value, exp(-Vth*a) per device at
-// program time, and exp(-Vscl*a) once per fixed-point iteration per row —
-// the per-device inner loop is pure multiply/min/max over contiguous
-// spans. search_reference() retains the straightforward per-device kernel
-// (same factored expression, re-derived biases, scalar loop); tests
-// assert the optimized path matches it bit for bit.
+// program time, and exp(-Vscl*a) once per pass per row — the per-device
+// inner loop is multiplies, compares and bit-mask selects over contiguous
+// spans, with no branches.
+//
+// The row's ScL potential v = R_src * I(v) is solved by safeguarded
+// Newton: I never rises with v, so f(v) = v - R_src*I(v) is strictly
+// increasing with its root bracketed in [0, R_src*I(0)]; a step that
+// would leave the bracket, or would not halve the step before last,
+// bisects it instead. Each pass returns I and
+// the row conductance G = -dI/dv together, each summed in four lanes
+// (device j into lane j mod 4, joined as (l0 + l1) + (l2 + l3)).
+// search_reference() re-derives every factor and bias per query and per
+// row and then runs the same solve, so tests can assert the cached tables
+// reproduce it bit for bit.
 #pragma once
 
 #include <atomic>
@@ -62,10 +71,12 @@ struct CrossbarConfig {
   double program_tolerance_v = 5e-3;
 };
 
-/// Running totals of the damped fixed-point ScL solves behind search()
-/// (one solve per row per circuit-fidelity query). `non_converged` counts
-/// solves that hit the iteration cap without meeting the tolerance —
-/// surfaced through core/profiler instead of silently capping.
+/// Running totals of the safeguarded Newton ScL solves behind search()
+/// (one solve per row per circuit-fidelity query). `iterations` counts
+/// Newton steps, one per pass over the row after the first at Vscl = 0;
+/// `non_converged` counts solves that hit the 60-step cap without a step
+/// under the 1e-7 V tolerance — surfaced through core/profiler instead of
+/// silently capping.
 struct SclSolveStats {
   std::uint64_t solves = 0;
   std::uint64_t iterations = 0;
@@ -164,10 +175,10 @@ class CrossbarArray {
   std::vector<double> search(std::span<const int> query,
                              bool parallel_rows = false) const;
 
-  /// Reference implementation of search(): per-device scalar loop,
-  /// biases re-derived from the encoding/ladder per query, no cached
-  /// tables. Same cell-current expression as the optimized kernel, so
-  /// the two agree bit for bit; retained to guard the fast path.
+  /// Reference implementation of search(): biases re-derived from the
+  /// encoding/ladder per query and per-device factors per row, no cached
+  /// tables. Same row solve as the optimized kernel, so the two agree bit
+  /// for bit; retained to guard the tables and the gather.
   std::vector<double> search_reference(std::span<const int> query) const;
 
   /// Ideal integer distance the array should report for (query, row),
@@ -175,8 +186,9 @@ class CrossbarArray {
   int nominal_distance(std::span<const int> query, std::size_t row) const;
 
   /// nominal_distance for every row at once: validates the query a single
-  /// time, resolves the per-dim LUT rows once, then gathers over the
-  /// contiguous stored values — the nominal-fidelity hot path. Erased
+  /// time, copies the per-dim LUT rows into one contiguous table, then
+  /// gathers over the contiguous stored values into four partial sums —
+  /// the nominal-fidelity hot path. Erased
   /// rows report INT_MAX (the integer analogue of search()'s +infinity
   /// disabled-branch sentinel).
   std::vector<int> nominal_distances(std::span<const int> query) const;
@@ -186,11 +198,11 @@ class CrossbarArray {
   std::vector<int> nominal_distances_reference(
       std::span<const int> query) const;
 
-  /// Snapshot of the fixed-point solve counters (search() only; the
-  /// reference kernel does not count). Thread-safe.
+  /// Snapshot of the ScL solve counters (search() only; the reference
+  /// kernel does not count). Thread-safe.
   SclSolveStats scl_solve_stats() const noexcept;
 
-  /// Zeroes the fixed-point solve counters.
+  /// Zeroes the ScL solve counters.
   void reset_scl_solve_stats() const noexcept;
 
   /// Post-variation threshold voltage of one device (for tests/analysis).
@@ -224,19 +236,6 @@ class CrossbarArray {
     return config_.use_opamp_clamp ? config_.opamp.output_res_ohm
                                    : config_.unclamped_source_res_ohm;
   }
-  struct RowSolve {
-    double current_a = 0.0;
-    int iterations = 0;
-    bool converged = true;
-  };
-  /// One row's damped fixed-point ScL solve over the flat device arrays.
-  /// Pure — search() aggregates the per-row results into the shared solve
-  /// counters once per query, so parallel rows never contend on them.
-  RowSolve solve_row(std::size_t row, std::span<const double> vgs,
-                     std::span<const double> vds,
-                     std::span<const double> gate_factors) const;
-  double cell_current_reference(std::size_t dev, double vgs_v, double vds_v,
-                                double v_scl) const;
 
   std::size_t rows_;
   std::size_t dims_;
@@ -254,6 +253,7 @@ class CrossbarArray {
 
   // --- cached hot-path tables -------------------------------------------
   double subvt_alpha_ = 0.0;          ///< ln10 / SS [1/V]
+  double erased_vth_factor_ = 0.0;    ///< exp(-vth_max*a), any erased device
   std::vector<double> bias_vgs_;      ///< [sch*fefets+i] gate bias [V]
   std::vector<double> bias_vds_;      ///< [sch*fefets+i] drain bias [V]
   std::vector<double> bias_gate_factor_;  ///< [sch*fefets+i] exp(Vgs*a)

@@ -109,11 +109,11 @@ struct SearchProfile {
   /// Histogram of winning nominal distances (index = distance, clipped).
   std::vector<std::size_t> winner_distance_histogram;
 
-  /// Fixed-point ScL solve behaviour during the replay (one solve per row
-  /// per circuit-fidelity query; all zero at nominal fidelity, where no
-  /// solves run). Surfaces what the crossbar's damped iteration used to
-  /// cap silently: how many iterations the solves took and how many hit
-  /// the cap without meeting the tolerance.
+  /// ScL solve behaviour during the replay (one safeguarded Newton solve
+  /// per row per circuit-fidelity query; all zero at nominal fidelity,
+  /// where no solves run): how many Newton steps the solves took and how
+  /// many hit the step cap without meeting the tolerance, which would
+  /// otherwise go unseen.
   std::uint64_t scl_solves = 0;
   double scl_mean_iterations = 0.0;
   std::uint64_t scl_non_converged = 0;

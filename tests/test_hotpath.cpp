@@ -2,10 +2,15 @@
 // kernels (cached bias tables + LUT + flat SoA row solve, optional
 // intra-query row/bank parallelism) must reproduce the retained
 // reference kernels bit for bit across metric x bits x fidelity x clamp
-// configurations, and the fixed-point convergence counters must account
-// for every solve.
+// configurations. The ScL solve counters must account for every solve,
+// every solve must converge, and the Newton solve must agree with the
+// damped fixed-point solve it replaced wherever that one converged.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "arch/banked_am.hpp"
@@ -86,7 +91,11 @@ INSTANTIATE_TEST_SUITE_P(
                     KernelCase{DistanceMetric::kHamming, 2, true, false},
                     KernelCase{DistanceMetric::kManhattan, 1, true, true},
                     KernelCase{DistanceMetric::kManhattan, 2, true, true},
-                    KernelCase{DistanceMetric::kManhattan, 2, false, false}),
+                    KernelCase{DistanceMetric::kManhattan, 2, false, false},
+                    KernelCase{DistanceMetric::kEuclideanSquared, 2, true,
+                               true},
+                    KernelCase{DistanceMetric::kEuclideanSquared, 2, false,
+                               true}),
     case_name);
 
 TEST(HotPathEncoding, NominalCurrentLutMatchesReference) {
@@ -204,8 +213,8 @@ TEST(SclSolveCounters, EverySolveIsAccounted) {
   for (const auto& q : queries) (void)engine.search(q);
   const auto stats = array->scl_solve_stats();
   EXPECT_EQ(stats.solves, rows * queries.size());
-  // The default clamp's residual impedance is a few hundred ohms: the
-  // damped iteration must both run (>= 1 per solve) and converge.
+  // With the default clamp the ScL sits on the op-amp's few-hundred-ohm
+  // output: every solve takes at least one Newton step and converges.
   EXPECT_GE(stats.iterations, stats.solves);
   EXPECT_EQ(stats.non_converged, 0u);
 
@@ -234,9 +243,213 @@ TEST(SclSolveCounters, ProfilerSurfacesConvergence) {
   const auto profile = core::profile_searches(engine, queries);
   EXPECT_EQ(profile.scl_solves, rows * queries.size());
   EXPECT_GE(profile.scl_mean_iterations, 1.0);
-  EXPECT_LE(profile.scl_mean_iterations, 60.0);
+  EXPECT_LE(profile.scl_mean_iterations, 3.0);
   EXPECT_EQ(profile.scl_non_converged, 0u);
 }
+
+// ------------------------------------------------ ScL solve physics ---
+
+struct SolveCase {
+  DistanceMetric metric;
+  bool clamp;
+  std::size_t rows;
+  std::size_t dims;
+};
+
+std::string solve_case_name(const testing::TestParamInfo<SolveCase>& info) {
+  const auto& c = info.param;
+  return csp::to_string(c.metric) + (c.clamp ? "_clamped_" : "_unclamped_") +
+         std::to_string(c.rows) + "x" + std::to_string(c.dims);
+}
+
+std::vector<SolveCase> solve_cases(std::initializer_list<bool> clamps) {
+  std::vector<SolveCase> cases;
+  for (const auto metric :
+       {DistanceMetric::kHamming, DistanceMetric::kManhattan,
+        DistanceMetric::kEuclideanSquared}) {
+    for (const bool clamp : clamps) {
+      for (const auto& [rows, dims] :
+           {std::pair<std::size_t, std::size_t>{64, 32}, {128, 64},
+            {256, 128}}) {
+        cases.push_back({metric, clamp, rows, dims});
+      }
+    }
+  }
+  return cases;
+}
+
+/// A circuit-fidelity engine (default device variation) over random
+/// 2-bit rows.
+core::FerexEngine loaded_engine(const SolveCase& c) {
+  core::FerexOptions options =
+      engine_options(core::SearchFidelity::kCircuit, 0);
+  options.circuit.use_opamp_clamp = c.clamp;
+  core::FerexEngine engine(options);
+  engine.configure(c.metric, 2);
+  engine.store(data::random_int_vectors(c.rows, c.dims, 4, 59));
+  return engine;
+}
+
+constexpr std::size_t kSolveQueries = 16;
+
+class SclSolveConvergence : public testing::TestWithParam<SolveCase> {};
+
+TEST_P(SclSolveConvergence, EverySolveConverges) {
+  const auto& c = GetParam();
+  const auto engine = loaded_engine(c);
+  const auto* array = engine.array();
+  array->reset_scl_solve_stats();
+  for (const auto& q : data::random_int_vectors(kSolveQueries, c.dims, 4, 61)) {
+    (void)array->search(q);
+  }
+  const auto stats = array->scl_solve_stats();
+  ASSERT_EQ(stats.solves, c.rows * kSolveQueries);
+  EXPECT_EQ(stats.non_converged, 0u);
+  const double mean_steps = static_cast<double>(stats.iterations) /
+                            static_cast<double>(stats.solves);
+  if (c.clamp) {
+    EXPECT_LE(mean_steps, 3.0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(MetricClampGeometry, SclSolveConvergence,
+                         testing::ValuesIn(solve_cases({true, false})),
+                         solve_case_name);
+
+TEST(SclSolveCounters, ConvergesFarBeyondTheAblationImpedance) {
+  // A bare ScL of 1-100 MOhm puts the operating point far out on the
+  // subthreshold exponential, where plain Newton steps crawl by about
+  // SS/ln10 each and can run into the step cap.
+  for (const double source_res : {1e6, 1e8}) {
+    for (const double ss : {15.0, 60.0, 120.0}) {
+      for (const auto metric :
+           {DistanceMetric::kHamming, DistanceMetric::kEuclideanSquared}) {
+        core::FerexOptions options =
+            engine_options(core::SearchFidelity::kCircuit, 0);
+        options.circuit.use_opamp_clamp = false;
+        options.circuit.unclamped_source_res_ohm = source_res;
+        options.circuit.fet.ss_mv_per_dec = ss;
+        core::FerexEngine engine(options);
+        engine.configure(metric, 2);
+        engine.store(data::random_int_vectors(64, 64, 4, 5));
+        const auto* array = engine.array();
+        array->reset_scl_solve_stats();
+        for (const auto& q : data::random_int_vectors(16, 64, 4, 6)) {
+          (void)array->search(q);
+        }
+        EXPECT_EQ(array->scl_solve_stats().non_converged, 0u)
+            << csp::to_string(metric) << " R=" << source_res
+            << " SS=" << ss;
+      }
+    }
+  }
+}
+
+/// The damped fixed-point solve v <- (v + R*I(v)) / 2 that search() ran
+/// before its Newton solve, over the array's public per-device state and
+/// with the same factored cell model. It converges with the clamp on and
+/// oscillates with it off, so it is a reference for clamped arrays only.
+/// Returns every row's current; `converged` is cleared on any capped solve.
+std::vector<double> damped_currents(const circuit::CrossbarArray& array,
+                                    std::span<const int> query,
+                                    bool& converged) {
+  const auto& enc = array.encoding();
+  const auto& config = array.config();
+  const double alpha = std::log(10.0) / (config.fet.ss_mv_per_dec * 1e-3);
+  const double source_res = config.use_opamp_clamp
+                                ? config.opamp.output_res_ohm
+                                : config.unclamped_source_res_ohm;
+  const std::size_t fefets = array.fefets_per_cell();
+  const std::size_t per_row = array.dims() * fefets;
+  std::vector<double> vgs(per_row), vds(per_row), gate(per_row);
+  for (std::size_t dim = 0; dim < array.dims(); ++dim) {
+    const auto qv = static_cast<std::size_t>(query[dim]);
+    for (std::size_t i = 0; i < fefets; ++i) {
+      const std::size_t j = dim * fefets + i;
+      vgs[j] = array.ladder().vsearch(
+          static_cast<std::size_t>(enc.search_level(qv, i)));
+      vds[j] = config.cell.vds_unit_v * enc.vds_multiple(qv, i);
+      gate[j] = std::exp(std::min(vgs[j] * alpha, 700.0));
+    }
+  }
+  std::vector<double> vth(per_row), inv_r(per_row), vth_factor(per_row);
+  std::vector<double> currents(array.rows());
+  for (std::size_t row = 0; row < array.rows(); ++row) {
+    for (std::size_t dim = 0; dim < array.dims(); ++dim) {
+      for (std::size_t i = 0; i < fefets; ++i) {
+        const std::size_t j = dim * fefets + i;
+        vth[j] = array.device_vth(row, dim, i);
+        inv_r[j] = 1.0 / array.device_resistance(row, dim, i);
+        vth_factor[j] = std::exp(-vth[j] * alpha);
+      }
+    }
+    const auto total_current = [&](double v_scl) {
+      const double scl_factor = std::exp(-v_scl * alpha);
+      double sum = 0.0;
+      for (std::size_t j = 0; j < per_row; ++j) {
+        const double vds_eff = vds[j] - v_scl;
+        if (vds_eff <= 0.0) continue;
+        const double fet =
+            vgs[j] - v_scl >= vth[j]
+                ? config.fet.isat_a
+                : std::max(config.fet.isat_a *
+                               ((gate[j] * vth_factor[j]) * scl_factor),
+                           config.fet.min_leak_a);
+        sum += std::min(fet, vds_eff * inv_r[j]);
+      }
+      return sum;
+    };
+    double v_scl = 0.0;
+    double current = total_current(0.0);
+    bool row_converged = false;
+    for (int iter = 0; iter < 60 && !row_converged; ++iter) {
+      const double v_next = 0.5 * (v_scl + current * source_res);
+      current = total_current(v_next);
+      row_converged = std::abs(v_next - v_scl) < 1e-7;
+      v_scl = v_next;
+    }
+    converged = converged && row_converged;
+    currents[row] = current;
+  }
+  return currents;
+}
+
+/// Row indices of the `k` smallest currents, lowest row first on ties.
+std::vector<std::size_t> top_k_rows(const std::vector<double>& currents,
+                                    std::size_t k) {
+  std::vector<std::size_t> order(currents.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return currents[a] < currents[b];
+                   });
+  order.resize(std::min(k, order.size()));
+  return order;
+}
+
+class SclSolvePhysics : public testing::TestWithParam<SolveCase> {};
+
+TEST_P(SclSolvePhysics, NewtonMatchesDampedSolveOnClampedArrays) {
+  const auto& c = GetParam();
+  const auto engine = loaded_engine(c);
+  const auto& array = *engine.array();
+  for (const auto& q : data::random_int_vectors(kSolveQueries, c.dims, 4, 67)) {
+    bool damped_converged = true;
+    const auto damped = damped_currents(array, q, damped_converged);
+    ASSERT_TRUE(damped_converged);
+    const auto newton = array.search(q);
+    for (std::size_t r = 0; r < c.rows; ++r) {
+      EXPECT_LE(std::abs(newton[r] - damped[r]), 1e-5 * damped[r])
+          << "row " << r;
+    }
+    // Noiseless LTA order: the five nearest rows, in order.
+    EXPECT_EQ(top_k_rows(newton, 5), top_k_rows(damped, 5));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(MetricGeometry, SclSolvePhysics,
+                         testing::ValuesIn(solve_cases({true})),
+                         solve_case_name);
 
 }  // namespace
 }  // namespace ferex
