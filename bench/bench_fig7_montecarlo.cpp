@@ -12,10 +12,10 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/ferex.hpp"
 #include "data/datasets.hpp"
 #include "ml/knn.hpp"
 #include "ml/quantize.hpp"
+#include "serve/engine_index.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -49,8 +49,8 @@ double worst_case_accuracy(int d_near, int runs, double sigma_vth) {
     core::FerexOptions opt;
     opt.circuit.variation.sigma_vth_v = sigma_vth;
     opt.seed = 9000 + static_cast<std::uint64_t>(run);
-    core::FerexEngine engine(opt);
-    engine.configure(csp::DistanceMetric::kHamming, 2);
+    serve::EngineIndex index(opt);
+    index.configure(csp::DistanceMetric::kHamming, 2);
 
     util::Rng rng(500 + static_cast<std::uint64_t>(run));
     std::vector<int> query(kDims);
@@ -61,8 +61,8 @@ double worst_case_accuracy(int d_near, int runs, double sigma_vth) {
     for (std::size_t i = 0; i < kDistractors; ++i) {
       db.push_back(at_hamming_distance(query, d_near + 1, rng));
     }
-    engine.store(db);
-    if (engine.search(query).nearest == 0) ++correct;
+    index.store(db);
+    if (index.search({query}).best().global_row == 0) ++correct;
   }
   return static_cast<double>(correct) / runs;
 }
@@ -113,20 +113,20 @@ int main() {
         sw.evaluate(csp::DistanceMetric::kHamming, test_q, ds.test_y, 1);
 
     core::FerexOptions opt;  // variation + LTA noise at paper defaults
-    core::FerexEngine engine(opt);
-    engine.configure(csp::DistanceMetric::kHamming, 2);
+    serve::EngineIndex index(opt);
+    index.configure(csp::DistanceMetric::kHamming, 2);
     std::vector<std::vector<int>> db;
     for (std::size_t r = 0; r < train_q.rows(); ++r) {
       const auto row = train_q.row(r);
       db.emplace_back(row.begin(), row.end());
     }
-    engine.store(db);
+    index.store(db);
 
     std::size_t hits = 0;
     for (std::size_t s = 0; s < test_q.rows(); ++s) {
       const auto row = test_q.row(s);
       const std::vector<int> query(row.begin(), row.end());
-      const auto winner = engine.search(query).nearest;
+      const auto winner = index.search({query}).best().global_row;
       if (ds.train_y[winner] == ds.test_y[s]) ++hits;
     }
     const double hw_acc =

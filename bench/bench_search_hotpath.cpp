@@ -9,7 +9,8 @@
 //   * optimized   — the cached-table flat kernel (CrossbarArray::search);
 //   * intra-par   — the flat kernel with rows fanned across the worker
 //                   pool (equals optimized on 1-core hosts);
-//   * engine      — FerexEngine::search end to end (kernel + LTA + noise);
+//   * engine      — FerexEngine::search_hits_at end to end (kernel + LTA
+//                   + noise), one fresh ordinal per query;
 // and at nominal fidelity the reference vs. LUT-gather distance kernels.
 // The headline number is the optimized/reference single-query speedup on
 // the default geometry.
@@ -145,9 +146,12 @@ int main(int argc, char** argv) {
     const auto circuit_parallel = measure(
         "circuit_intra_parallel", g, "circuit", queries,
         [&](const std::vector<int>& q) { (void)array->search(q, true); });
-    const auto circuit_engine =
-        measure("circuit_engine", g, "circuit", queries,
-                [&](const std::vector<int>& q) { (void)engine.search(q); });
+    std::uint64_t ordinal = 0;
+    const auto circuit_engine = measure(
+        "circuit_engine", g, "circuit", queries,
+        [&](const std::vector<int>& q) {
+          (void)engine.search_hits_at(q, 1, ordinal++);
+        });
     const auto nominal_reference =
         measure("nominal_reference", g, "nominal", queries,
                 [&](const std::vector<int>& q) {

@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/ferex.hpp"
+#include "serve/engine_index.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -32,24 +32,25 @@ int main() {
   opt.lta.offset_sigma_rel = 0.0;
   opt.encoder.max_fefets_per_cell = 6;
   opt.encoder.max_vds_multiple = 5;
-  core::FerexEngine engine(opt);
-  engine.store({{0, 1, 2, 3}, {3, 2, 1, 0}, {1, 1, 1, 1}});
+  serve::EngineIndex index(opt);
+  const auto& engine = index.engine();
+  index.store({{0, 1, 2, 3}, {3, 2, 1, 0}, {1, 1, 1, 1}});
 
   util::TextTable demo({"metric", "bits", "cell", "levels", "DM realized",
                         "NN of (2,2,2,2)"});
   for (auto metric : {DistanceMetric::kHamming, DistanceMetric::kManhattan,
                       DistanceMetric::kEuclideanSquared}) {
-    engine.configure(metric, 2);
+    index.configure(metric, 2);
     const auto& enc = engine.encoding();
     const std::vector<int> query{2, 2, 2, 2};
-    const auto result = engine.search(query);
+    const auto best = index.search({query}).best();
     demo.add_row({csp::to_string(metric), "2",
                   std::to_string(enc.fefets_per_cell()) + "FeFET" +
                       std::to_string(enc.fefets_per_cell()) + "R",
                   std::to_string(enc.ladder_levels()),
                   enc.realizes(engine.distance_matrix()) ? "yes" : "NO",
-                  "row " + std::to_string(result.nearest) + " (d=" +
-                      std::to_string(result.nominal_distance) + ")"});
+                  "row " + std::to_string(best.global_row) + " (d=" +
+                      std::to_string(best.nominal_distance) + ")"});
   }
   std::cout << demo;
   std::puts("\nAll three metrics served by the same array after in-place "

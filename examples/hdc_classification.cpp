@@ -6,9 +6,9 @@
 // reports which one this dataset prefers.
 #include <cstdio>
 
-#include "core/ferex.hpp"
 #include "data/datasets.hpp"
 #include "ml/hdc.hpp"
+#include "serve/engine_index.hpp"
 
 int main() {
   using ferex::csp::DistanceMetric;
@@ -49,7 +49,7 @@ int main() {
   opt.encoder.max_fefets_per_cell = 6;
   opt.encoder.max_vds_multiple = 5;
   // Class count is small; circuit fidelity is affordable here.
-  ferex::core::FerexEngine engine(opt);
+  ferex::serve::EngineIndex index(opt);
 
   std::printf("%-18s %-10s %-14s %-12s\n", "metric", "accuracy",
               "energy/query", "delay");
@@ -57,18 +57,18 @@ int main() {
                       DistanceMetric::kEuclideanSquared}) {
     const bool binary = metric == DistanceMetric::kHamming;
     const auto& m = binary ? binary_model : model;
-    engine.configure(metric, binary ? 1 : 2);
-    engine.store(prototypes_of(m));
+    index.configure(metric, binary ? 1 : 2);
+    index.store(prototypes_of(m));
 
     std::size_t hits = 0;
     for (std::size_t s = 0; s < ds.test_x.rows(); ++s) {
       const auto query = m.encode_query(ds.test_x.row(s));
-      const auto winner = engine.search(query).nearest;
+      const auto winner = index.search({query}).best().global_row;
       if (static_cast<int>(winner) == ds.test_y[s]) ++hits;
     }
     const double acc =
         static_cast<double>(hits) / static_cast<double>(ds.test_x.rows());
-    const auto cost = engine.search_cost();
+    const auto cost = index.engine().search_cost();
     std::printf("%-10s (%d-bit) %-10.3f %8.2f nJ   %8.2f ns\n",
                 ferex::csp::to_string(metric).c_str(), binary ? 1 : 2, acc,
                 cost.total_energy_j() * 1e9, cost.total_delay_s() * 1e9);

@@ -8,18 +8,18 @@
 #include <cstdio>
 #include <map>
 
-#include "core/ferex.hpp"
 #include "data/datasets.hpp"
 #include "ml/knn.hpp"
 #include "ml/quantize.hpp"
+#include "serve/engine_index.hpp"
 
 namespace {
 
-int majority_label(const std::vector<std::size_t>& neighbors,
+int majority_label(const std::vector<ferex::serve::Hit>& neighbors,
                    const std::vector<int>& labels) {
   std::map<int, int> votes;
-  for (auto idx : neighbors) ++votes[labels[idx]];
-  int best = labels[neighbors.front()], best_votes = 0;
+  for (const auto& hit : neighbors) ++votes[labels[hit.global_row]];
+  int best = labels[neighbors.front().global_row], best_votes = 0;
   for (const auto& [label, count] : votes) {
     if (count > best_votes) {
       best_votes = count;
@@ -61,22 +61,22 @@ int main() {
   ferex::core::FerexOptions opt;
   opt.encoder.max_fefets_per_cell = 6;
   opt.encoder.max_vds_multiple = 5;
-  ferex::core::FerexEngine engine(opt);
+  ferex::serve::EngineIndex index(opt);
   const ferex::ml::KnnClassifier software(train_q, ds.train_y);
   constexpr std::size_t kNeighbors = 5;
 
   std::printf("%-12s %-18s %-18s\n", "metric", "FeReX-KNN acc", "software acc");
   for (auto metric : {DistanceMetric::kHamming, DistanceMetric::kManhattan,
                       DistanceMetric::kEuclideanSquared}) {
-    engine.configure(metric, 2);  // reconfigure in place
-    if (engine.stored_count() == 0) engine.store(database);
+    index.configure(metric, 2);  // reconfigure in place
+    if (index.stored_count() == 0) index.store(database);
 
     std::size_t hits = 0;
     for (std::size_t s = 0; s < test_q.rows(); ++s) {
       const auto row = test_q.row(s);
       const std::vector<int> query(row.begin(), row.end());
-      const auto neighbors = engine.search_k(query, kNeighbors);
-      if (majority_label(neighbors, ds.train_y) == ds.test_y[s]) ++hits;
+      const auto response = index.search({query, kNeighbors});
+      if (majority_label(response.hits, ds.train_y) == ds.test_y[s]) ++hits;
     }
     const double hw_acc =
         static_cast<double>(hits) / static_cast<double>(test_q.rows());

@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/ferex.hpp"
+#include "serve/engine_index.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -21,8 +21,8 @@ bool trial(double sigma_vth_v, int d_near, std::uint64_t seed) {
   ferex::core::FerexOptions opt;
   opt.circuit.variation.sigma_vth_v = sigma_vth_v;
   opt.seed = seed;
-  ferex::core::FerexEngine engine(opt);
-  engine.configure(ferex::csp::DistanceMetric::kHamming, 2);
+  ferex::serve::EngineIndex index(opt);
+  index.configure(ferex::csp::DistanceMetric::kHamming, 2);
 
   const std::size_t dims = 64;
   ferex::util::Rng rng(seed ^ 0xabcdef);
@@ -47,8 +47,8 @@ bool trial(double sigma_vth_v, int d_near, std::uint64_t seed) {
   std::vector<std::vector<int>> db;
   db.push_back(at_distance(d_near));
   for (int i = 0; i < 15; ++i) db.push_back(at_distance(d_near + 1));
-  engine.store(db);
-  return engine.search(query).nearest == 0;
+  index.store(db);
+  return index.search({query}).best().global_row == 0;
 }
 
 }  // namespace

@@ -143,7 +143,6 @@ BankedWrite BankedAm::update(std::size_t global_row,
 
 BankedAm::BankedState BankedAm::snapshot_state() const {
   BankedState state;
-  state.query_serial = query_serial_;
   state.bank_offsets = bank_offsets_;
   state.banks.reserve(banks_.size());
   for (const auto& bank : banks_) state.banks.push_back(bank->snapshot_state());
@@ -167,7 +166,6 @@ void BankedAm::restore_state(BankedState state) {
     bank->restore_state(std::move(state.banks[b]));
     banks_.push_back(std::move(bank));
   }
-  query_serial_ = state.query_serial;
   reconcile_intra_query();
 }
 
@@ -247,10 +245,30 @@ bool BankedAm::parallel_banks_worthwhile() const noexcept {
   return devices >= threshold;
 }
 
-BankedSearchResult BankedAm::search_ordinal(std::span<const int> query,
-                                            std::uint64_t ordinal,
-                                            bool parallel_banks,
-                                            bool in_query_pool) const {
+void BankedAm::check_query(std::span<const int> query) const {
+  // Serving layers validate before consuming an ordinal, so a bad query
+  // cannot shift the per-bank noise-stream sequence (see search_at).
+  if (query.size() != banks_.front()->dims()) {
+    throw std::invalid_argument("BankedAm: query.size() != dims");
+  }
+  const auto alphabet = banks_.front()->distance_matrix().search_count();
+  for (const int v : query) {
+    if (v < 0 || static_cast<std::size_t>(v) >= alphabet) {
+      throw std::out_of_range("BankedAm: query value out of range");
+    }
+  }
+}
+
+BankedSearchResult BankedAm::search_at(
+    std::span<const int> query, std::uint64_t ordinal,
+    std::optional<bool> parallel_banks) const {
+  if (banks_.empty()) {
+    throw std::logic_error("BankedAm::search_at: store() first");
+  }
+  if (live_count() == 0) {
+    throw std::logic_error("BankedAm::search_at: no live rows");
+  }
+  check_query(query);
   // Stage 1: every bank's local LTA resolves its winner in parallel.
   // Each bank draws its comparator noise from its own seed at this query
   // ordinal, so banks stay decorrelated and the result is independent of
@@ -260,22 +278,17 @@ BankedSearchResult BankedAm::search_ordinal(std::span<const int> query,
   // Banks whose rows are all removed stop firing: they run no search,
   // draw no comparator noise, and are masked out of the global stage.
   std::vector<std::uint8_t> bank_live(banks_.size());
-  std::size_t live_banks = 0;
   for (std::size_t b = 0; b < banks_.size(); ++b) {
     bank_live[b] = banks_[b]->live_count() > 0 ? 1 : 0;
-    live_banks += bank_live[b];
   }
-  // Inside a query fan-out, force the banks' row loops serial so pools
-  // never nest; otherwise the engines keep their own heuristic (multi-
-  // bank engines have row fan-out disabled at store(), single-bank ones
-  // may still fan their rows).
-  const std::optional<bool> bank_parallel_rows =
-      in_query_pool ? std::optional<bool>(false) : std::nullopt;
+  // Each engine keeps its own row heuristic (multi-bank engines have
+  // row fan-out disabled, a single bank may still fan its rows).
   const auto run_bank = [&](std::size_t b) {
     if (bank_live[b] == 0) return;
-    bank_results[b] = banks_[b]->search_at(query, ordinal, bank_parallel_rows);
+    bank_results[b] = banks_[b]->search_hits_at(query, 1, ordinal).front();
   };
-  if (parallel_banks && banks_.size() > 1) {
+  if (parallel_banks.value_or(parallel_banks_worthwhile()) &&
+      banks_.size() > 1) {
     // Affine schedule: bank b lands on the same pool participant on
     // every query, so each bank's cached bias/current tables stay warm
     // in one thread's caches across a serving stream.
@@ -306,119 +319,20 @@ BankedSearchResult BankedAm::search_ordinal(std::span<const int> query,
   return out;
 }
 
-void BankedAm::check_query(std::span<const int> query) const {
-  // Reject before any ordinal is consumed, so a bad query cannot shift
-  // the per-bank noise-stream sequence (see search_ordinal).
-  if (query.size() != banks_.front()->dims()) {
-    throw std::invalid_argument("BankedAm: query.size() != dims");
-  }
-  const auto alphabet = banks_.front()->distance_matrix().search_count();
-  for (const int v : query) {
-    if (v < 0 || static_cast<std::size_t>(v) >= alphabet) {
-      throw std::out_of_range("BankedAm: query value out of range");
-    }
-  }
-}
-
-BankedSearchResult BankedAm::search(std::span<const int> query) {
-  if (banks_.empty()) {
-    throw std::logic_error("BankedAm::search: store() first");
-  }
-  if (live_count() == 0) {
-    throw std::logic_error("BankedAm::search: no live rows");
-  }
-  check_query(query);
-  return search_ordinal(query, query_serial_++, parallel_banks_worthwhile(),
-                        /*in_query_pool=*/false);
-}
-
-BankedSearchResult BankedAm::search_at(
-    std::span<const int> query, std::uint64_t ordinal,
-    std::optional<bool> parallel_banks) const {
-  if (banks_.empty()) {
-    throw std::logic_error("BankedAm::search_at: store() first");
-  }
-  if (live_count() == 0) {
-    throw std::logic_error("BankedAm::search_at: no live rows");
-  }
-  check_query(query);
-  return search_ordinal(query, ordinal,
-                        parallel_banks.value_or(parallel_banks_worthwhile()),
-                        /*in_query_pool=*/false);
-}
-
 bool BankedAm::inner_fan_for_batch(std::size_t batch_size) const noexcept {
   // Small batches cannot saturate the pool across queries alone; run
   // them serially and fan each query's banks (or, single-bank, its
   // rows) instead — but only when the inner fan-out is at least as wide
   // as the query fan-out it replaces, else fanning queries wins. Either
   // schedule yields bit-identical results.
-  if (batch_size == 0 || batch_size >= util::pool_width()) return false;
+  if (banks_.empty() || batch_size == 0 || batch_size >= util::pool_width()) {
+    return false;
+  }
   const bool inner_fan_wider =
       banks_.size() > 1 ? banks_.size() >= batch_size
                         : banks_.front()->intra_query_parallel();
   return inner_fan_wider &&
          (banks_.size() == 1 || parallel_banks_worthwhile());
-}
-
-std::vector<BankedSearchResult> BankedAm::search_batch(
-    std::span<const std::vector<int>> queries) {
-  if (banks_.empty()) {
-    throw std::logic_error("BankedAm::search_batch: store() first");
-  }
-  if (live_count() == 0) {
-    throw std::logic_error("BankedAm::search_batch: no live rows");
-  }
-  for (const auto& q : queries) check_query(q);
-  const std::uint64_t base = query_serial_;
-  query_serial_ += queries.size();
-  return search_batch_validated(queries, base);
-}
-
-std::vector<BankedSearchResult> BankedAm::search_batch_at(
-    std::span<const std::vector<int>> queries,
-    std::uint64_t base_ordinal) const {
-  if (banks_.empty()) {
-    throw std::logic_error("BankedAm::search_batch_at: store() first");
-  }
-  if (live_count() == 0) {
-    throw std::logic_error("BankedAm::search_batch_at: no live rows");
-  }
-  for (const auto& q : queries) check_query(q);
-  return search_batch_validated(queries, base_ordinal);
-}
-
-std::vector<BankedSearchResult> BankedAm::search_batch_validated(
-    std::span<const std::vector<int>> queries,
-    std::uint64_t base_ordinal) const {
-  std::vector<BankedSearchResult> results(queries.size());
-  if (queries.empty()) return results;
-  if (inner_fan_for_batch(queries.size())) {
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      results[i] = search_ordinal(queries[i], base_ordinal + i,
-                                  /*parallel_banks=*/banks_.size() > 1,
-                                  /*in_query_pool=*/false);
-    }
-    return results;
-  }
-  util::parallel_for(queries.size(), [&](std::size_t i) {
-    results[i] = search_ordinal(queries[i], base_ordinal + i,
-                                /*parallel_banks=*/false,
-                                /*in_query_pool=*/true);
-  });
-  return results;
-}
-
-std::vector<std::size_t> BankedAm::search_k(std::span<const int> query,
-                                            std::size_t k) {
-  if (banks_.empty()) {
-    throw std::logic_error("BankedAm::search_k: store() first");
-  }
-  const auto hits = search_k_hits(query, k);
-  std::vector<std::size_t> winners;
-  winners.reserve(hits.size());
-  for (const auto& hit : hits) winners.push_back(hit.nearest);
-  return winners;
 }
 
 std::vector<BankedSearchResult> BankedAm::search_k_hits(
@@ -428,13 +342,13 @@ std::vector<BankedSearchResult> BankedAm::search_k_hits(
     throw std::logic_error("BankedAm::search_k_hits: store() first");
   }
   if (k == 0 || k > live_count()) {
-    throw std::invalid_argument("BankedAm::search_k: bad k");
+    throw std::invalid_argument("BankedAm::search_k_hits: bad k");
   }
   check_query(query);
   // Each bank holds its sensed row currents (the post-decoder can mask
   // individual row branches); the global stage iteratively extracts the
   // minimum across the concatenated currents. Banks fire concurrently,
-  // as in search().
+  // as in search_at().
   std::vector<std::vector<double>> per_bank(banks_.size());
   const auto run_bank = [&](std::size_t b) {
     per_bank[b] = banks_[b]->row_currents(query);

@@ -124,61 +124,34 @@ class BankedAm {
     return banks_.empty() ? 0 : banks_.front()->dims();
   }
 
-  /// Global nearest-neighbor search (all banks in parallel + global LTA).
-  /// When the work-size heuristic allows (multiple banks and hardware
-  /// threads, circuit fidelity, total devices across banks reaching the
-  /// engine's intra_query_min_devices), the banks fan across the worker
-  /// pool — the hardware fires all macros at once, and a single query
-  /// should too. Results are bit-identical to the serial sweep (per-bank
-  /// noise is ordinal-addressed).
-  /// A thin shim over the const ordinal-addressed core (search_at) that
-  /// consumes one ordinal; mutates only query_serial_.
-  BankedSearchResult search(std::span<const int> query);
-
-  /// Const ordinal-addressed core of search (the engine's search_at
-  /// pattern): the ordinal selects every bank's comparator-noise stream,
-  /// so callers scheduling their own concurrency stay deterministic.
-  /// Does not consume the ordinal counter. `parallel_banks` overrides
-  /// the bank fan-out heuristic (callers already inside a worker pool
-  /// pass false); nullopt applies the work-size gate. The schedule never
-  /// affects results.
+  /// Global nearest neighbor at an explicit query ordinal (k = 1): every
+  /// bank's LTA resolves its winner, then the global comparator picks
+  /// between the bank winners. The ordinal selects every bank's
+  /// comparator-noise stream, so results do not depend on execution
+  /// order; the banked AM counts no ordinals (serve::BankedIndex does).
+  /// When the work-size heuristic allows (multiple live banks and
+  /// hardware threads, circuit fidelity, total devices across banks
+  /// reaching the engine's intra_query_min_devices), the banks fan across
+  /// the worker pool — the hardware fires all macros at once, and a
+  /// single query should too. `parallel_banks` overrides the heuristic
+  /// (callers already inside a worker pool pass false); the schedule
+  /// never affects results.
   BankedSearchResult search_at(std::span<const int> query,
                                std::uint64_t ordinal,
                                std::optional<bool> parallel_banks =
                                    std::nullopt) const;
 
-  /// Batched global search: queries fan across a worker pool sized by
-  /// std::thread::hardware_concurrency(), each worker driving all banks
-  /// for its query. Results are bit-identical to calling search() once
-  /// per query in order (per-bank comparator noise is addressed by query
-  /// ordinal, not execution order). Empty batch returns an empty vector.
-  /// Invalid queries — wrong length or out-of-alphabet values — are
-  /// rejected up front, before any ordinal is consumed.
-  std::vector<BankedSearchResult> search_batch(
-      std::span<const std::vector<int>> queries);
-
-  /// Const ordinal-addressed core of search_batch: queries take ordinals
-  /// base_ordinal, base_ordinal + 1, ... Does not consume the ordinal
-  /// counter; results are bit-identical to search_at per query.
-  std::vector<BankedSearchResult> search_batch_at(
-      std::span<const std::vector<int>> queries,
-      std::uint64_t base_ordinal) const;
-
-  /// Global k-nearest (nearest first). A shim over search_k_hits.
-  std::vector<std::size_t> search_k(std::span<const int> query, std::size_t k);
-
-  /// The k-NN serving core: top-k rows nearest first with full hit
-  /// detail (sensed current, margin to the best remaining row, nominal
-  /// distance). Const; unlike the two-stage single-NN path this one is
-  /// deterministic — every bank exposes its raw row currents and the
-  /// global post-decoder masks iteratively, with no per-bank LTA
-  /// decisions and hence no comparator-noise draws — so it takes no
-  /// ordinal. The winner sequence is bit-identical to search_k.
+  /// The k-NN core: top-k rows nearest first with full hit detail
+  /// (sensed current, margin to the best remaining row, nominal
+  /// distance). Deterministic, unlike the two-stage single-NN path:
+  /// every bank exposes its raw row currents and the global post-decoder
+  /// masks iteratively, with no per-bank LTA decisions and hence no
+  /// comparator-noise draws — so it takes no ordinal.
   std::vector<BankedSearchResult> search_k_hits(
       std::span<const int> query, std::size_t k,
       std::optional<bool> parallel_banks = std::nullopt) const;
 
-  /// Validates a query exactly as every search entry point does: throws
+  /// Validates a query exactly as search_at and search_k_hits do: throws
   /// std::invalid_argument on wrong length, std::out_of_range on
   /// out-of-alphabet values, std::logic_error before any stored row.
   /// Exposed so serving layers can reject requests before consuming any
@@ -187,8 +160,8 @@ class BankedAm {
 
   /// True when a batch of `batch_size` queries is better served by
   /// running queries serially and fanning each query's banks (or, single
-  /// bank, its rows) — the scheduling rule search_batch applies. Never
-  /// affects results.
+  /// bank, its rows) — the scheduling rule serve::AmIndex batches by.
+  /// False with no bank stored. Never affects results.
   bool inner_fan_for_batch(std::size_t batch_size) const noexcept;
 
   /// Delay of one banked search: banks operate in parallel, then the
@@ -198,11 +171,10 @@ class BankedAm {
   /// Energy of one banked search: all banks fire.
   double search_energy_j() const;
 
-  /// Complete mutable state for a durable snapshot: the banked ordinal
-  /// counter plus every bank engine's state and its global offset. The
-  /// byte format lives in serve/snapshot.
+  /// Complete mutable state for a durable snapshot: every bank engine's
+  /// state and its global offset. The byte format lives in
+  /// serve/snapshot.
   struct BankedState {
-    std::uint64_t query_serial = 0;
     std::vector<std::size_t> bank_offsets;
     std::vector<core::FerexEngine::EngineState> banks;
   };
@@ -220,8 +192,8 @@ class BankedAm {
 
   /// Tombstone compaction: re-packs the live rows densely via store(),
   /// which rebuilds every bank as a fresh engine — bit-identical to
-  /// configure()+store() of the survivors on a fresh BankedAm. The
-  /// banked ordinal counter is kept. Returns the slots reclaimed.
+  /// configure()+store() of the survivors on a fresh BankedAm. Returns
+  /// the slots reclaimed.
   std::size_t compact();
 
  private:
@@ -248,20 +220,8 @@ class BankedAm {
   /// at one live bank the engines regain the configured row heuristic.
   /// Scheduling only — results are schedule-invariant.
   void reconcile_intra_query();
-  /// `in_query_pool` marks calls made from inside a parallel_for over
-  /// queries: bank row loops are then forced serial so pools never nest.
-  /// Outside a pool the per-bank engines keep their own row heuristic.
-  BankedSearchResult search_ordinal(std::span<const int> query,
-                                    std::uint64_t ordinal,
-                                    bool parallel_banks,
-                                    bool in_query_pool) const;
-  /// Post-validation batch core shared by search_batch / search_batch_at.
-  std::vector<BankedSearchResult> search_batch_validated(
-      std::span<const std::vector<int>> queries,
-      std::uint64_t base_ordinal) const;
 
   BankedOptions options_;
-  std::uint64_t query_serial_ = 0;
   csp::DistanceMetric metric_ = csp::DistanceMetric::kHamming;
   int bits_ = 0;
   bool configured_ = false;

@@ -45,23 +45,12 @@ LtaDecision LtaCircuit::decide(std::span<const double> row_currents_a,
   return decision;
 }
 
-std::vector<std::size_t> LtaCircuit::decide_k(
-    std::span<const double> row_currents_a, double unit_current_a,
-    std::size_t k, util::Rng* rng, std::span<const std::uint8_t> live) const {
-  const auto detailed =
-      decide_k_detailed(row_currents_a, unit_current_a, k, rng, live);
-  std::vector<std::size_t> winners;
-  winners.reserve(detailed.size());
-  for (const auto& d : detailed) winners.push_back(d.winner);
-  return winners;
-}
-
 std::vector<LtaDecision> LtaCircuit::decide_k_detailed(
     std::span<const double> row_currents_a, double unit_current_a,
     std::size_t k, util::Rng* rng, std::span<const std::uint8_t> live) const {
   if (!live.empty() && live.size() != row_currents_a.size()) {
     throw std::invalid_argument(
-        "LtaCircuit::decide_k: live mask size != row count");
+        "LtaCircuit::decide_k_detailed: live mask size != row count");
   }
   std::size_t live_rows = row_currents_a.size();
   if (!live.empty()) {
@@ -69,7 +58,7 @@ std::vector<LtaDecision> LtaCircuit::decide_k_detailed(
     for (const std::uint8_t l : live) live_rows += l != 0 ? 1 : 0;
   }
   if (k == 0 || k > live_rows) {
-    throw std::invalid_argument("LtaCircuit::decide_k: bad k");
+    throw std::invalid_argument("LtaCircuit::decide_k_detailed: bad k");
   }
   std::vector<double> currents(row_currents_a.begin(), row_currents_a.end());
   std::vector<LtaDecision> decisions;
@@ -82,23 +71,6 @@ std::vector<LtaDecision> LtaCircuit::decide_k_detailed(
     currents[decisions.back().winner] = std::numeric_limits<double>::infinity();
   }
   return decisions;
-}
-
-LtaDecision LtaCircuit::decide_max(std::span<const double> row_currents_a,
-                                   double unit_current_a,
-                                   util::Rng* rng) const {
-  if (row_currents_a.empty()) {
-    throw std::invalid_argument("LtaCircuit::decide_max: no rows");
-  }
-  // WTA over currents == LTA over negated currents; the comparator noise
-  // model is symmetric.
-  std::vector<double> negated(row_currents_a.size());
-  for (std::size_t r = 0; r < row_currents_a.size(); ++r) {
-    negated[r] = -row_currents_a[r];
-  }
-  LtaDecision d = decide(negated, unit_current_a, rng);
-  d.winner_current_a = -d.winner_current_a;
-  return d;
 }
 
 double LtaCircuit::delay_s(std::size_t rows) const noexcept {

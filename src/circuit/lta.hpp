@@ -59,18 +59,10 @@ class LtaCircuit {
 
   /// k-NN extension: repeatedly applies the LTA, masking previous
   /// winners (the paper's LTA + post-decoder supports NN search; k > 1 is
-  /// realized by iterative masking). Returns row indices, nearest first.
-  /// A shim over decide_k_detailed — bit-identical noise draws.
-  std::vector<std::size_t> decide_k(std::span<const double> row_currents_a,
-                                    double unit_current_a, std::size_t k,
-                                    util::Rng* rng,
-                                    std::span<const std::uint8_t> live =
-                                        {}) const;
-
-  /// decide_k with the full per-round decision: each entry carries the
-  /// round's winner, its sensed current, and its margin to the best
-  /// remaining (unmasked) row — what a serving layer needs to report
-  /// top-k hits instead of bare indices. Round 0 is bit-identical to
+  /// realized by iterative masking). Returns the per-round decisions,
+  /// nearest first: each carries the round's winner, its sensed current,
+  /// and its margin to the best remaining (unmasked) row — what a serving
+  /// layer needs to report top-k hits. Round 0 is bit-identical to
   /// decide() over the same currents and rng state; on the final round
   /// with every other row masked the margin is +infinity (nothing left
   /// to compare against).
@@ -83,12 +75,6 @@ class LtaCircuit {
       std::span<const double> row_currents_a, double unit_current_a,
       std::size_t k, util::Rng* rng,
       std::span<const std::uint8_t> live = {}) const;
-
-  /// Winner-take-all dual: picks the MAXIMUM-current row. Used when the
-  /// row current encodes similarity instead of distance (best-match /
-  /// cosine-style AMs, cf. Table I's IEDM'20 row and CoSiME).
-  LtaDecision decide_max(std::span<const double> row_currents_a,
-                         double unit_current_a, util::Rng* rng) const;
 
   /// Decision delay for an array with `rows` competing branches.
   double delay_s(std::size_t rows) const noexcept;

@@ -108,7 +108,6 @@ FerexEngine::EngineState FerexEngine::snapshot_state() const {
   EngineState state;
   state.database = database_;
   state.live = live_;
-  state.query_serial = query_serial_;
   state.rng = rng_.state();
   if (array_) {
     const auto vth = array_->device_vth_offsets();
@@ -131,7 +130,6 @@ void FerexEngine::restore_state(EngineState state) {
   live_ = std::move(state.live);
   live_rows_ = 0;
   for (const auto flag : live_) live_rows_ += flag != 0 ? 1 : 0;
-  query_serial_ = state.query_serial;
   rng_.set_state(state.rng);
   if (database_.empty()) {
     array_.reset();
@@ -168,8 +166,7 @@ std::size_t FerexEngine::compact() {
   }
   // Bit-identity contract: equal to configure()+store(survivors) on a
   // fresh engine — which draws its variation from a generator seeded at
-  // construction, so re-seed before rebuilding. query_serial_ is
-  // deliberately kept (the serving layer's ordinal stream continues).
+  // construction, so re-seed before rebuilding.
   rng_ = util::Rng(options_.seed);
   if (survivors.empty()) {
     database_.clear();
@@ -313,70 +310,11 @@ bool FerexEngine::intra_query_parallel() const noexcept {
          util::pool_width() > 1;
 }
 
-std::vector<SearchResult> FerexEngine::search_hits_expanded(
-    std::span<const int> query, std::size_t k, util::Rng* rng,
-    bool parallel_rows) const {
-  std::vector<SearchResult> hits;
-  hits.reserve(k);
-  // The post-decoder mask rides along on every decision: removed rows
-  // are skipped without a comparator-noise draw, so live rows sense
-  // exactly what they would in an array holding only the live rows.
-  const auto live = array_->live_mask();
-  if (options_.fidelity == SearchFidelity::kCircuit) {
-    const auto currents = array_->search(query, parallel_rows);
-    const auto decisions = lta_.decide_k_detailed(
-        currents, array_->unit_current_a(), k, rng, live);
-    for (const auto& decision : decisions) {
-      SearchResult hit;
-      hit.nearest = decision.winner;
-      hit.winner_current_a = decision.winner_current_a;
-      hit.margin_a = decision.margin_a;
-      hit.nominal_distance = array_->nominal_distance(query, hit.nearest);
-      hits.push_back(hit);
-    }
-  } else {
-    // Nominal fidelity: exact integer distance arithmetic, ideal LTA.
-    const auto distances = array_->nominal_distances(query);
-    const std::vector<double> currents(distances.begin(), distances.end());
-    const auto decisions = lta_.decide_k_detailed(currents, 1.0, k, nullptr,
-                                                  live);
-    for (const auto& decision : decisions) {
-      SearchResult hit;
-      hit.nearest = decision.winner;
-      hit.winner_current_a = decision.winner_current_a;
-      hit.margin_a = decision.margin_a;
-      hit.nominal_distance = distances[hit.nearest];
-      hits.push_back(hit);
-    }
-  }
-  return hits;
-}
-
-SearchResult FerexEngine::search_expanded(std::span<const int> query,
-                                          util::Rng* rng,
-                                          bool parallel_rows) const {
-  return search_hits_expanded(query, 1, rng, parallel_rows).front();
-}
-
-SearchResult FerexEngine::search(std::span<const int> query) {
-  if (!array_) {
-    throw std::logic_error("FerexEngine::search: configure() + store() first");
-  }
-  if (live_rows_ == 0) {
-    throw std::logic_error("FerexEngine::search: no live rows");
-  }
-  // Validate before consuming an ordinal, so a rejected query leaves the
-  // noise-stream sequence exactly where it was (batch does the same).
-  check_query(query);
-  return search_validated(query, query_serial_++, intra_query_parallel());
-}
-
 void FerexEngine::check_query(std::span<const int> query) const {
   // Full validation before anything irreversible: the codec expands
   // element-wise with only an assert on the value range (UB in release
-  // builds), and every search entry point consumes a noise-stream
-  // ordinal — so both length and alphabet must be checked first, keeping
-  // sequential and batched ordinal accounting in lockstep on errors.
+  // builds), and serving layers consume a noise-stream ordinal per
+  // accepted query — so both length and alphabet must be checked first.
   if (query.size() != database_.front().size()) {
     throw std::invalid_argument("FerexEngine: query.size() != dims");
   }
@@ -388,39 +326,6 @@ void FerexEngine::check_query(std::span<const int> query) const {
   }
 }
 
-std::vector<SearchResult> FerexEngine::search_hits_validated(
-    std::span<const int> query, std::size_t k, std::uint64_t ordinal,
-    bool parallel_rows) const {
-  std::vector<int> expanded;
-  if (codec_) {
-    expanded = codec_->expand(query);
-    query = expanded;
-  }
-  util::Rng rng = query_rng(ordinal);
-  return search_hits_expanded(query, k, &rng, parallel_rows);
-}
-
-SearchResult FerexEngine::search_validated(std::span<const int> query,
-                                           std::uint64_t ordinal,
-                                           bool parallel_rows) const {
-  return search_hits_validated(query, 1, ordinal, parallel_rows).front();
-}
-
-SearchResult FerexEngine::search_at(std::span<const int> query,
-                                    std::uint64_t ordinal,
-                                    std::optional<bool> parallel_rows) const {
-  if (!array_) {
-    throw std::logic_error(
-        "FerexEngine::search_at: configure() + store() first");
-  }
-  if (live_rows_ == 0) {
-    throw std::logic_error("FerexEngine::search_at: no live rows");
-  }
-  check_query(query);
-  return search_validated(query, ordinal,
-                          parallel_rows.value_or(intra_query_parallel()));
-}
-
 std::vector<SearchResult> FerexEngine::search_hits_at(
     std::span<const int> query, std::size_t k, std::uint64_t ordinal,
     std::optional<bool> parallel_rows) const {
@@ -428,12 +333,49 @@ std::vector<SearchResult> FerexEngine::search_hits_at(
     throw std::logic_error(
         "FerexEngine::search_hits_at: configure() + store() first");
   }
+  // Bounded by the live rows: removed slots cannot be hits.
   if (k == 0 || k > live_rows_) {
     throw std::invalid_argument("FerexEngine::search_hits_at: bad k");
   }
   check_query(query);
-  return search_hits_validated(query, k, ordinal,
-                               parallel_rows.value_or(intra_query_parallel()));
+  std::vector<int> expanded;
+  if (codec_) {
+    expanded = codec_->expand(query);
+    query = expanded;
+  }
+  // Circuit fidelity senses device currents and decides through a noisy
+  // comparator; nominal fidelity is exact integer distance arithmetic
+  // through an ideal LTA.
+  const bool circuit = options_.fidelity == SearchFidelity::kCircuit;
+  std::vector<int> distances;
+  std::vector<double> currents;
+  if (circuit) {
+    currents =
+        array_->search(query, parallel_rows.value_or(intra_query_parallel()));
+  } else {
+    distances = array_->nominal_distances(query);
+    currents.assign(distances.begin(), distances.end());
+  }
+  util::Rng rng = query_rng(ordinal);
+  // The post-decoder mask rides along on every decision: removed rows
+  // are skipped without a comparator-noise draw, so live rows sense
+  // exactly what they would in an array holding only the live rows.
+  const auto decisions = lta_.decide_k_detailed(
+      currents, circuit ? array_->unit_current_a() : 1.0, k,
+      circuit ? &rng : nullptr, array_->live_mask());
+  std::vector<SearchResult> hits;
+  hits.reserve(decisions.size());
+  for (const auto& decision : decisions) {
+    SearchResult hit;
+    hit.nearest = decision.winner;
+    hit.winner_current_a = decision.winner_current_a;
+    hit.margin_a = decision.margin_a;
+    hit.nominal_distance = circuit
+                               ? array_->nominal_distance(query, hit.nearest)
+                               : distances[hit.nearest];
+    hits.push_back(hit);
+  }
+  return hits;
 }
 
 bool FerexEngine::inner_fan_for_batch(std::size_t batch_size) const noexcept {
@@ -444,107 +386,6 @@ bool FerexEngine::inner_fan_for_batch(std::size_t batch_size) const noexcept {
   // share no mutable state), so the choice is purely a scheduling one.
   return batch_size > 0 && batch_size < util::pool_width() &&
          intra_query_parallel() && array_->rows() >= batch_size;
-}
-
-std::vector<SearchResult> FerexEngine::search_batch(
-    std::span<const std::vector<int>> queries) {
-  if (!array_) {
-    throw std::logic_error(
-        "FerexEngine::search_batch: configure() + store() first");
-  }
-  if (live_rows_ == 0) {
-    throw std::logic_error("FerexEngine::search_batch: no live rows");
-  }
-  // Validate before consuming ordinals, so a rejected batch leaves the
-  // noise-stream sequence exactly where it was.
-  for (const auto& q : queries) check_query(q);
-  const std::uint64_t base = query_serial_;
-  query_serial_ += queries.size();
-  return search_batch_validated(queries, base);
-}
-
-std::vector<SearchResult> FerexEngine::search_batch_at(
-    std::span<const std::vector<int>> queries,
-    std::uint64_t base_ordinal) const {
-  if (!array_) {
-    throw std::logic_error(
-        "FerexEngine::search_batch_at: configure() + store() first");
-  }
-  if (live_rows_ == 0) {
-    throw std::logic_error("FerexEngine::search_batch_at: no live rows");
-  }
-  for (const auto& q : queries) check_query(q);
-  return search_batch_validated(queries, base_ordinal);
-}
-
-std::vector<SearchResult> FerexEngine::search_batch_validated(
-    std::span<const std::vector<int>> queries,
-    std::uint64_t base_ordinal) const {
-  std::vector<SearchResult> results(queries.size());
-  if (queries.empty()) return results;
-
-  // Codec-expand the whole batch up front: one pass over the queries,
-  // after which the workers run over plain spans with no allocation on
-  // the hot path.
-  std::vector<std::vector<int>> expanded;
-  if (codec_) {
-    expanded.reserve(queries.size());
-    for (const auto& q : queries) expanded.push_back(codec_->expand(q));
-  }
-
-  if (inner_fan_for_batch(queries.size())) {
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      util::Rng rng = query_rng(base_ordinal + i);
-      results[i] = search_expanded(codec_ ? expanded[i] : queries[i], &rng,
-                                   /*parallel_rows=*/true);
-    }
-    return results;
-  }
-  util::parallel_for(queries.size(), [&](std::size_t i) {
-    util::Rng rng = query_rng(base_ordinal + i);
-    results[i] = search_expanded(codec_ ? expanded[i] : queries[i], &rng,
-                                 /*parallel_rows=*/false);
-  });
-  return results;
-}
-
-std::vector<std::size_t> FerexEngine::search_k(std::span<const int> query,
-                                               std::size_t k) {
-  if (!array_) {
-    throw std::logic_error("FerexEngine::search_k: configure() + store() first");
-  }
-  // k joins the query in the validated-before-any-ordinal set (the seed
-  // threw from decide_k only after consuming the ordinal). Bounded by
-  // the live rows: removed slots cannot be hits.
-  if (k == 0 || k > live_rows_) {
-    throw std::invalid_argument("FerexEngine::search_k: bad k");
-  }
-  check_query(query);
-  return search_k_validated(query, k, query_serial_++);
-}
-
-std::vector<std::size_t> FerexEngine::search_k_validated(
-    std::span<const int> query, std::size_t k, std::uint64_t ordinal) const {
-  const auto hits =
-      search_hits_validated(query, k, ordinal, intra_query_parallel());
-  std::vector<std::size_t> winners;
-  winners.reserve(hits.size());
-  for (const auto& hit : hits) winners.push_back(hit.nearest);
-  return winners;
-}
-
-std::vector<std::size_t> FerexEngine::search_k_at(std::span<const int> query,
-                                                  std::size_t k,
-                                                  std::uint64_t ordinal) const {
-  if (!array_) {
-    throw std::logic_error(
-        "FerexEngine::search_k_at: configure() + store() first");
-  }
-  if (k == 0 || k > live_rows_) {
-    throw std::invalid_argument("FerexEngine::search_k_at: bad k");
-  }
-  check_query(query);
-  return search_k_validated(query, k, ordinal);
 }
 
 std::vector<double> FerexEngine::row_currents(std::span<const int> query) const {

@@ -5,16 +5,19 @@
 //   core::FerexEngine engine(options);
 //   engine.configure(csp::DistanceMetric::kHamming, /*bits=*/2);
 //   engine.store(database);                  // programs the crossbar
-//   auto r = engine.search(query);           // LTA nearest neighbor
+//   auto hits = engine.search_hits_at(query, /*k=*/1, /*ordinal=*/0);
 //   engine.configure(csp::DistanceMetric::kManhattan, 2);  // re-encode,
 //   // same stored data, new distance function — no new hardware.
 //
 // configure() runs the CSP encoder (Algorithm 1 + Fig. 5 post-processing)
 // for the requested metric, derives the voltage ladder, and re-programs
-// the stored vectors under the new encoding. search() drives the
+// the stored vectors under the new encoding. search_hits_at() drives the
 // simulated crossbar and LTA; searches can run at circuit fidelity
 // (device currents, variation, comparator noise) or at nominal fidelity
-// (integer current arithmetic the circuit is verified against).
+// (integer current arithmetic the circuit is verified against). The
+// engine keeps no query counter: the caller names each search's
+// comparator-noise stream by ordinal. serve::EngineIndex wraps the
+// engine with ordinal accounting, request validation and batching.
 #pragma once
 
 #include <cstddef>
@@ -35,7 +38,7 @@
 
 namespace ferex::core {
 
-/// How faithfully search() models the hardware.
+/// How faithfully a search models the hardware.
 enum class SearchFidelity {
   kCircuit,  ///< device-level currents + variation + LTA offset noise
   kNominal,  ///< exact integer current arithmetic (verified equivalent)
@@ -54,9 +57,9 @@ struct FerexOptions {
   /// Intra-query parallelism heuristic: when a single circuit-fidelity
   /// query's work (array devices = rows * dims * fefets per cell) reaches
   /// this threshold and more than one hardware thread is available, the
-  /// query's rows fan across the worker pool. Batched entry points apply
-  /// it only when the batch alone cannot saturate the pool (fewer
-  /// queries than hardware threads). 0 disables intra-query parallelism.
+  /// query's rows fan across the worker pool. Batch schedulers apply it
+  /// only when the batch alone cannot saturate the pool (fewer queries
+  /// than hardware threads). 0 disables intra-query parallelism.
   /// The nominal-fidelity kernel is a table gather whose per-row cost is
   /// far below thread-spawn overhead, so it never fans.
   std::size_t intra_query_min_devices = 32768;
@@ -137,71 +140,25 @@ class FerexEngine {
   /// and marks it live. Validates the vector before mutating.
   circuit::WriteCost update(std::size_t row, std::span<const int> vector);
 
-  /// Nearest-neighbor search. Requires configure() and store(). A thin
-  /// shim over the const ordinal-addressed core (search_hits_at) that
-  /// consumes one ordinal; mutates only query_serial_.
-  SearchResult search(std::span<const int> query);
-
-  /// Batched nearest-neighbor search. Equivalent to calling search() once
-  /// per query in order — results are bit-identical, including the
-  /// circuit-fidelity comparator noise, which is drawn from a per-query
-  /// stream indexed by the engine's query ordinal rather than a shared
-  /// sequential stream — but queries are expanded once and fanned across
-  /// a worker pool sized by std::thread::hardware_concurrency().
-  /// An empty batch returns an empty vector. Invalid queries — wrong
-  /// length or out-of-alphabet values — are rejected up front, before
-  /// any ordinal is consumed, in both the sequential and batched APIs.
-  std::vector<SearchResult> search_batch(
-      std::span<const std::vector<int>> queries);
-
-  /// Nearest-neighbor search with an explicit query ordinal: the ordinal
-  /// selects the per-query comparator-noise stream, so callers that
-  /// schedule their own concurrency (e.g. BankedAm) stay deterministic.
-  /// Does not consume the engine's ordinal counter. `parallel_rows`
+  /// The search core: the top-k rows nearest first, each with its sensed
+  /// current, margin to the best remaining row, and nominal distance.
+  /// Requires configure() and store(), and 1 <= k <= live_count(). The
+  /// ordinal selects the per-query comparator-noise stream, so results do
+  /// not depend on the order or thread in which queries run. Const: the
+  /// engine counts no ordinals; serve::EngineIndex does. `parallel_rows`
   /// overrides the intra-query heuristic — callers already running this
   /// engine inside their own worker pool pass false to avoid nesting
   /// pools; nullopt applies intra_query_min_devices. The schedule never
   /// affects results.
-  SearchResult search_at(std::span<const int> query, std::uint64_t ordinal,
-                         std::optional<bool> parallel_rows =
-                             std::nullopt) const;
-
-  /// The k-NN serving core: the top-k rows nearest first, each with its
-  /// sensed current, margin to the best remaining row, and nominal
-  /// distance — what SearchResult carries for k = 1, for every rank.
-  /// Const and ordinal-addressed (see search_at). k = 1 is bit-identical
-  /// to search_at; the winner sequence for any k is bit-identical to
-  /// search_k_at (both are shims over this core).
   std::vector<SearchResult> search_hits_at(
       std::span<const int> query, std::size_t k, std::uint64_t ordinal,
       std::optional<bool> parallel_rows = std::nullopt) const;
-
-  /// Const ordinal-addressed core of search_batch: queries take ordinals
-  /// base_ordinal, base_ordinal + 1, ... Does not consume the engine's
-  /// ordinal counter; results are bit-identical to search_at per query.
-  std::vector<SearchResult> search_batch_at(
-      std::span<const std::vector<int>> queries,
-      std::uint64_t base_ordinal) const;
 
   /// True when the intra-query heuristic (intra_query_min_devices vs the
   /// array's device count and the pool width) says a single query's rows
   /// would fan across the worker pool. Exposed so multi-engine layers can
   /// schedule around it.
   bool intra_query_parallel() const noexcept;
-
-  /// k-nearest rows, nearest first (iterative LTA with masking). A shim
-  /// over search_hits_at; requires 1 <= k <= stored_count() (validated,
-  /// like the query, before an ordinal is consumed).
-  std::vector<std::size_t> search_k(std::span<const int> query, std::size_t k);
-
-  /// Ordinal-addressed variant of search_k (see search_at).
-  std::vector<std::size_t> search_k_at(std::span<const int> query,
-                                       std::size_t k,
-                                       std::uint64_t ordinal) const;
-
-  /// Ordinal the next search()/search_k() call will use. Each call
-  /// consumes one ordinal; search_batch consumes one per query.
-  std::uint64_t query_serial() const noexcept { return query_serial_; }
 
   /// Raw sensed row currents for a query (codec-expanded; at nominal
   /// fidelity these are exact distances). Building block for multi-macro
@@ -221,8 +178,8 @@ class FerexEngine {
   /// expansion applied; equals software_distance for standard metrics).
   int nominal_distance(std::span<const int> query, std::size_t row) const;
 
-  /// Validates a query exactly as every search entry point does: throws
-  /// std::invalid_argument on wrong length, std::out_of_range on
+  /// Validates a query exactly as search_hits_at and row_currents do:
+  /// throws std::invalid_argument on wrong length, std::out_of_range on
   /// out-of-alphabet values, std::logic_error before configure()+store().
   /// Exposed so serving layers can reject requests before consuming any
   /// query ordinal.
@@ -231,8 +188,8 @@ class FerexEngine {
   /// True when a batch of `batch_size` queries is better served by
   /// running queries serially and fanning each query's rows (the batch
   /// alone cannot saturate the pool and the row fan is at least as
-  /// wide) — the scheduling rule search_batch applies. Never affects
-  /// results.
+  /// wide) — the scheduling rule serve::AmIndex batches by. Never
+  /// affects results.
   bool inner_fan_for_batch(std::size_t batch_size) const noexcept;
 
   /// Energy/delay of one search op on the current geometry (Fig. 6 model).
@@ -289,7 +246,6 @@ class FerexEngine {
   struct EngineState {
     std::vector<std::vector<int>> database;
     std::vector<std::uint8_t> live;
-    std::uint64_t query_serial = 0;
     util::Rng::State rng{};
     std::vector<double> vth_offsets;  ///< empty when nothing is stored
     std::vector<double> resistances;
@@ -326,30 +282,6 @@ class FerexEngine {
   /// dimensionality (pre-codec length), std::out_of_range unless every
   /// element is inside the configured alphabet.
   void check_query(std::span<const int> query) const;
-  /// Top-k over an already codec-expanded query — the one kernel every
-  /// search entry point funnels through. `parallel_rows` fans the
-  /// crossbar rows across the worker pool (bit-identical results).
-  std::vector<SearchResult> search_hits_expanded(std::span<const int> expanded,
-                                                 std::size_t k, util::Rng* rng,
-                                                 bool parallel_rows) const;
-  /// Search over an already codec-expanded query (k = 1 shim).
-  SearchResult search_expanded(std::span<const int> expanded, util::Rng* rng,
-                               bool parallel_rows) const;
-  /// Post-validation cores: expand if needed, derive the ordinal's rng,
-  /// run. Callers must have validated via check_query.
-  std::vector<SearchResult> search_hits_validated(std::span<const int> query,
-                                                  std::size_t k,
-                                                  std::uint64_t ordinal,
-                                                  bool parallel_rows) const;
-  SearchResult search_validated(std::span<const int> query,
-                                std::uint64_t ordinal,
-                                bool parallel_rows) const;
-  std::vector<std::size_t> search_k_validated(std::span<const int> query,
-                                              std::size_t k,
-                                              std::uint64_t ordinal) const;
-  std::vector<SearchResult> search_batch_validated(
-      std::span<const std::vector<int>> queries,
-      std::uint64_t base_ordinal) const;
   /// Program-and-verify cost of one already-programmed row.
   circuit::WriteCost row_write_cost(std::size_t row) const;
   /// Cost of the row-wide erase pulse (remove, and the erase half of an
@@ -360,7 +292,6 @@ class FerexEngine {
 
   FerexOptions options_;
   util::Rng rng_;
-  std::uint64_t query_serial_ = 0;
   csp::DistanceMetric metric_ = csp::DistanceMetric::kHamming;
   int bits_ = 0;
   std::optional<csp::DistanceMatrix> dm_;

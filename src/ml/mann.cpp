@@ -56,6 +56,9 @@ FewShotResult evaluate_few_shot(core::FerexEngine& engine,
   FewShotResult result;
   result.episodes = episodes;
   std::size_t hits = 0;
+  // The call's n-th search runs at ordinal n: its comparator-noise
+  // stream depends on its place in the call, not on engine history.
+  std::uint64_t ordinal = 0;
   for (std::size_t e = 0; e < episodes; ++e) {
     const auto ep = make_episode(spec, rng);
     const auto quantizer = Quantizer::fit(ep.support_x, engine.bits());
@@ -69,15 +72,13 @@ FewShotResult evaluate_few_shot(core::FerexEngine& engine,
 
     for (std::size_t q = 0; q < ep.query_x.rows(); ++q) {
       const auto query = quantizer.quantize(ep.query_x.row(q));
-      int predicted;
-      if (spec.shots == 1) {
-        predicted = ep.support_y[engine.search(query).nearest];
-      } else {
-        // Vote over the k = shots nearest supports.
-        const auto neighbors = engine.search_k(query, spec.shots);
+      // Vote over the k = shots nearest supports (1-shot: the nearest).
+      const auto neighbors =
+          engine.search_hits_at(query, spec.shots, ordinal++);
+      int predicted = ep.support_y[neighbors.front().nearest];
+      if (spec.shots > 1) {
         std::map<int, std::size_t> votes;
-        for (auto idx : neighbors) ++votes[ep.support_y[idx]];
-        predicted = ep.support_y[neighbors.front()];
+        for (const auto& hit : neighbors) ++votes[ep.support_y[hit.nearest]];
         std::size_t best = 0;
         for (const auto& [label, count] : votes) {
           if (count > best) {

@@ -16,10 +16,11 @@
 //   index.insert(vec);                          // streaming write path
 //
 // Guarantees:
-//   * Hits are bit-identical to the legacy entry points: k = 1 equals
-//     FerexEngine::search / BankedAm::search, the k-NN winner sequence
-//     equals search_k, at both fidelities, single-shot and batched (the
-//     legacy methods are now thin shims over the same const cores).
+//   * Hits are bit-identical to the backend's one search core at the
+//     request's ordinal: FerexEngine::search_hits_at for EngineIndex;
+//     BankedAm::search_at (k = 1) or search_k_hits (k > 1) for
+//     BankedIndex — at both fidelities, single-shot and batched. The
+//     backends keep no ordinal counter of their own.
 //   * Every request consumes exactly one ordinal from the index's query
 //     serial — the per-query comparator-noise stream id — unless the
 //     request pins one explicitly or the const search_at entry point is
@@ -149,10 +150,10 @@ using InsertReceipt = WriteReceipt;
 ///
 /// The non-virtual entry points own request validation (before any
 /// ordinal is consumed), ordinal accounting, and batch scheduling;
-/// backends supply the const search core and the write path. The index
-/// keeps its own query serial: drive a fresh index with the same request
-/// sequence as a fresh legacy backend and the ordinals — hence the
-/// responses — line up one to one.
+/// backends supply the const search core and the write path. Ordinals
+/// exist only here: the index's query serial numbers unpinned requests
+/// 0, 1, 2, ... from construction, and the backend core serves each at
+/// the ordinal it is handed.
 class AmIndex {
  public:
   virtual ~AmIndex() = default;
@@ -199,7 +200,7 @@ class AmIndex {
   std::vector<SearchResponse> search_batch(
       std::span<const SearchRequest> requests);
 
-  /// Const ordinal-addressed core (the engine's search_at pattern): serves
+  /// Const ordinal-addressed core (the backends' pattern): serves
   /// the request at an explicit ordinal, consuming nothing — the entry
   /// point for callers scheduling their own concurrency and for driving
   /// the index from const contexts. Any request.ordinal is ignored in
@@ -284,7 +285,7 @@ class AmIndex {
                                      bool in_query_pool) const = 0;
 
   /// Backend query validation (length/alphabet/configured+stored), same
-  /// exceptions as the legacy entry points.
+  /// exceptions as the backend search cores.
   virtual void validate_backend_query(std::span<const int> query) const = 0;
 
   /// Backend scheduling rule: true when a batch of this size is better

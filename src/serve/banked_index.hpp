@@ -5,11 +5,10 @@
 // demand. Hit semantics follow the hardware:
 //   * k = 1 runs the two-stage path (per-bank LTA + global comparator);
 //     the hit's margin is the sensed gap between the two best bank
-//     winners — exactly BankedAm::search;
+//     winners — exactly BankedAm::search_at at the request's ordinal;
 //   * k > 1 runs the post-decoder masking path over the concatenated row
 //     currents (deterministic: no per-bank LTA decisions, so no
-//     comparator-noise draws) — winner sequence exactly BankedAm::
-//     search_k.
+//     comparator-noise draws) — exactly BankedAm::search_k_hits.
 #pragma once
 
 #include "arch/banked_am.hpp"

@@ -351,12 +351,12 @@ SearchResponse ShardedIndex::merge_shard_responses(
       }
     }
     // Exhausted fleet (k == total live): margin +inf, exactly the flat
-    // comparator's final round (decide_k masks each round winner to
-    // +inf current but keeps it live and competing, so its `second` is
-    // +inf — and so is a sole live shard's own final-round margin,
-    // which the passthrough inherits). The heads always cover the true
-    // global runner-up otherwise (every shard overfetched one), so
-    // these gaps equal the flat index's round margins bit for bit at
+    // comparator's final round (decide_k_detailed masks each round
+    // winner to +inf current but keeps it live and competing, so its
+    // `second` is +inf — and so is a sole live shard's own final-round
+    // margin, which the passthrough inherits). The heads always cover
+    // the true global runner-up otherwise (every shard overfetched one),
+    // so these gaps equal the flat index's round margins bit for bit at
     // nominal fidelity.
     hit.margin_a = have_next ? next_key - best_key : kInf;
     out.hits.push_back(hit);

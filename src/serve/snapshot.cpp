@@ -32,7 +32,7 @@ void put_engine_state(encode::ByteWriter& out,
     }
   }
   for (const auto flag : state.live) out.u8(flag);
-  out.u64(state.query_serial);
+  out.u64(0);  // reserved (was the per-engine query serial)
   for (const auto lane : state.rng.s) out.u64(lane);
   out.f64(state.rng.cached_gaussian);
   out.u8(state.rng.has_cached_gaussian ? 1 : 0);
@@ -61,7 +61,7 @@ core::FerexEngine::EngineState get_engine_state(encode::ByteReader& in) {
   }
   state.live.resize(static_cast<std::size_t>(rows));
   for (auto& flag : state.live) flag = in.u8();
-  state.query_serial = in.u64();
+  (void)in.u64();  // reserved: ignored
   for (auto& lane : state.rng.s) lane = in.u64();
   state.rng.cached_gaussian = in.f64();
   state.rng.has_cached_gaussian = in.u8() != 0;
@@ -117,7 +117,7 @@ std::vector<std::uint8_t> encode_snapshot(const AmIndex& index,
     payload.u64(index.query_serial());
     const arch::BankedAm::BankedState state = banked.snapshot_state();
     payload.u64(banked.options().bank_rows);
-    payload.u64(state.query_serial);
+    payload.u64(0);  // reserved (was the banked query serial)
     payload.u64(state.banks.size());
     for (std::size_t b = 0; b < state.banks.size(); ++b) {
       payload.u64(state.bank_offsets[b]);
@@ -206,8 +206,8 @@ std::uint64_t install_snapshot(AmIndex& index,
           "snapshot bank_rows " + std::to_string(bank_rows) +
           ", index bank_rows " + std::to_string(banked.options().bank_rows));
     }
+    (void)payload.u64();  // reserved: ignored
     arch::BankedAm::BankedState state;
-    state.query_serial = payload.u64();
     const std::uint64_t bank_count = payload.u64();
     if (bank_count > payload.remaining()) {
       throw encode::CorruptSnapshot(payload.offset(), "bank count too large");

@@ -2,9 +2,9 @@
 //
 // A snapshot captures everything a warm restart needs for bit-identical
 // serving: the stored database, the live (tombstone) mask, the
-// per-device fabrication arrays (Vth offsets, resistances), the engine
-// and serving ordinal counters, the variation-RNG stream position, and
-// the WAL watermark (last applied sequence number). Restoring it into a
+// per-device fabrication arrays (Vth offsets, resistances), the serving
+// ordinal counter, the variation-RNG stream position, and the WAL
+// watermark (last applied sequence number). Restoring it into a
 // freshly constructed index with the same options reproduces currents
 // and hits bit for bit — including the variation draws of every
 // subsequent insert.
@@ -15,8 +15,12 @@
 //   payload: u8 backend kind, u8 fidelity, u8 composite, u32 metric,
 //            u32 bits, u64 wal watermark, u64 serving query serial,
 //            backend state (engine: geometry + database + live mask +
-//            rng + fabrication arrays; banked: bank_rows + per-bank
-//            offsets and engine states)
+//            u64 reserved + rng + fabrication arrays; banked: bank_rows +
+//            u64 reserved + per-bank offsets and engine states)
+//
+// The two reserved u64 fields are written as 0 and ignored on read, so
+// snapshots from builds that kept per-backend query serials there (the
+// index alone owns ordinals now) still load.
 //
 // Error taxonomy: any malformed byte (truncation, oversize, bit flip)
 // is a typed encode::CorruptSnapshot naming the offset; a *valid*

@@ -3,6 +3,7 @@
 
 #include "arch/banked_am.hpp"
 #include "ml/knn.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace ferex::arch {
@@ -50,11 +51,11 @@ TEST(BankedAmT, SearchAgreesWithSingleMacro) {
   single.store(db);
 
   util::Rng rng(3);
-  for (int trial = 0; trial < 20; ++trial) {
+  for (std::uint64_t trial = 0; trial < 20; ++trial) {
     std::vector<int> query(10);
     for (auto& v : query) v = static_cast<int>(rng.uniform_below(4));
-    const auto banked_result = banked.search(query);
-    const auto single_result = single.search(query);
+    const auto banked_result = banked.search_at(query, trial);
+    const auto single_result = single.search_hits_at(query, 1, trial).front();
     // Winning distances must agree (indices can differ on ties).
     EXPECT_EQ(ml::vector_distance(DistanceMetric::kManhattan, query,
                                   db[banked_result.nearest]),
@@ -76,12 +77,13 @@ TEST(BankedAmT, SearchKMatchesSoftwareRanks) {
   util::Rng rng(5);
   std::vector<int> query(8);
   for (auto& v : query) v = static_cast<int>(rng.uniform_below(4));
-  const auto hw = am.search_k(query, 5);
+  const auto hw = am.search_k_hits(query, 5);
   const auto sw = ml::knn_indices(DistanceMetric::kHamming, db_matrix, query, 5);
   ASSERT_EQ(hw.size(), 5u);
   for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(ml::vector_distance(DistanceMetric::kHamming, query, db[hw[i]]),
-              ml::vector_distance(DistanceMetric::kHamming, query, db[sw[i]]));
+    EXPECT_EQ(
+        ml::vector_distance(DistanceMetric::kHamming, query, db[hw[i].nearest]),
+        ml::vector_distance(DistanceMetric::kHamming, query, db[sw[i]]));
   }
 }
 
@@ -113,15 +115,27 @@ TEST(BankedAmT, WorksWithCompositeEncodingAcrossBanks) {
 TEST(BankedAmT, LifecycleGuards) {
   BankedAm am(exact_banked(4));
   const std::vector<int> q{0};
-  EXPECT_THROW(am.search(q), std::logic_error);
+  EXPECT_THROW(am.search_at(q, 0), std::logic_error);
   EXPECT_THROW(am.store({{0}}), std::logic_error);  // configure first
   am.configure(DistanceMetric::kHamming, 1);
   EXPECT_THROW(am.store({}), std::invalid_argument);
   am.store({{0, 1}, {1, 0}, {1, 1}});
-  EXPECT_THROW(am.search_k(std::vector<int>{0, 1}, 0), std::invalid_argument);
-  EXPECT_THROW(am.search_k(std::vector<int>{0, 1}, 9), std::invalid_argument);
+  EXPECT_THROW(am.search_k_hits(std::vector<int>{0, 1}, 0),
+               std::invalid_argument);
+  EXPECT_THROW(am.search_k_hits(std::vector<int>{0, 1}, 9),
+               std::invalid_argument);
   EXPECT_THROW(BankedAm(BankedOptions{.bank_rows = 0}),
                std::invalid_argument);
+}
+
+TEST(BankedAmT, InnerFanForBatchOnEmptyArrayIsFalse) {
+  // Regression: with no bank stored and a pool wider than the batch, the
+  // scheduling rule used to read banks_.front(). A 1-wide pool returns
+  // early, so only wider pools (FEREX_POOL_WIDTH > 1) reach that read.
+  BankedAm am;
+  am.configure(DistanceMetric::kHamming, 2);
+  EXPECT_FALSE(am.inner_fan_for_batch(1));
+  EXPECT_FALSE(am.inner_fan_for_batch(util::pool_width()));
 }
 
 }  // namespace

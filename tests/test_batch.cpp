@@ -1,268 +1,240 @@
-// Tests for the batched multi-threaded search path: FerexEngine::
-// search_batch and BankedAm::search_batch must be bit-identical to the
-// sequential APIs across metrics, fidelities, and encoding paths.
+// Tests for the batched multi-threaded search path: AmIndex::search_batch
+// over both backends (EngineIndex, BankedIndex) must be bit-identical to
+// sequential search() calls across metrics, fidelities, k and encoding
+// paths, and must reject malformed batches before consuming an ordinal.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
-#include "arch/banked_am.hpp"
-#include "core/ferex.hpp"
 #include "data/datasets.hpp"
+#include "serve/banked_index.hpp"
+#include "serve/engine_index.hpp"
 #include "util/parallel.hpp"
 
-namespace ferex::core {
+namespace ferex::serve {
 namespace {
 
+using core::SearchFidelity;
 using csp::DistanceMetric;
 
+enum class Backend { kEngine, kBanked };
 
-void expect_identical(const SearchResult& a, const SearchResult& b) {
-  EXPECT_EQ(a.nearest, b.nearest);
-  EXPECT_EQ(a.winner_current_a, b.winner_current_a);  // bit-exact
-  EXPECT_EQ(a.margin_a, b.margin_a);
-  EXPECT_EQ(a.nominal_distance, b.nominal_distance);
+/// An index over `backend`; banked indexes split 24 rows into 4 banks.
+std::unique_ptr<AmIndex> make_index(Backend backend,
+                                    core::FerexOptions opt = {}) {
+  if (backend == Backend::kEngine) return std::make_unique<EngineIndex>(opt);
+  arch::BankedOptions banked;
+  banked.bank_rows = 7;
+  banked.engine = opt;
+  return std::make_unique<BankedIndex>(banked);
 }
 
-class BatchIdenticalT
-    : public ::testing::TestWithParam<std::tuple<DistanceMetric,
-                                                 SearchFidelity>> {};
+std::unique_ptr<AmIndex> stored_index(
+    Backend backend, DistanceMetric metric,
+    const std::vector<std::vector<int>>& db, core::FerexOptions opt = {}) {
+  auto index = make_index(backend, opt);
+  index->configure(metric, 2);
+  index->store(db);
+  return index;
+}
 
-TEST_P(BatchIdenticalT, BatchMatchesSequentialBitExactly) {
-  const auto [metric, fidelity] = GetParam();
-  FerexOptions opt;
-  opt.fidelity = fidelity;
+std::vector<SearchRequest> requests_for(
+    const std::vector<std::vector<int>>& queries, std::size_t k = 1) {
+  std::vector<SearchRequest> requests;
+  for (const auto& q : queries) requests.emplace_back(q, k);
+  return requests;
+}
 
-  const auto db = data::random_int_vectors(24, 8, 4, 11);
-  const auto queries = data::random_int_vectors(17, 8, 4, 12);
-
-  FerexEngine batched(opt);
-  batched.configure(metric, 2);
-  batched.store(db);
-  const auto batch = batched.search_batch(queries);
-  ASSERT_EQ(batch.size(), queries.size());
-
-  FerexEngine sequential(opt);
-  sequential.configure(metric, 2);
-  sequential.store(db);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    expect_identical(batch[i], sequential.search(queries[i]));
+void expect_identical(const SearchResponse& a, const SearchResponse& b) {
+  ASSERT_EQ(a.hits.size(), b.hits.size());
+  for (std::size_t i = 0; i < a.hits.size(); ++i) {
+    EXPECT_EQ(a.hits[i].global_row, b.hits[i].global_row);
+    EXPECT_EQ(a.hits[i].bank, b.hits[i].bank);
+    EXPECT_EQ(a.hits[i].sensed_current_a, b.hits[i].sensed_current_a);
+    EXPECT_EQ(a.hits[i].margin_a, b.hits[i].margin_a);  // bit-exact
+    EXPECT_EQ(a.hits[i].nominal_distance, b.hits[i].nominal_distance);
   }
 }
 
+class BatchIdenticalT
+    : public ::testing::TestWithParam<
+          std::tuple<Backend, DistanceMetric, SearchFidelity>> {};
+
+TEST_P(BatchIdenticalT, BatchMatchesSequentialBitExactly) {
+  const auto [backend, metric, fidelity] = GetParam();
+  core::FerexOptions opt;
+  opt.fidelity = fidelity;
+  const auto db = data::random_int_vectors(24, 8, 4, 11);
+  const auto queries = data::random_int_vectors(17, 8, 4, 12);
+  // Mixed k: k = 1 and the k-NN path share one batch.
+  auto requests = requests_for(queries);
+  for (std::size_t i = 1; i < requests.size(); i += 2) requests[i].k = 3;
+
+  auto batched = stored_index(backend, metric, db, opt);
+  const auto batch = batched->search_batch(requests);
+  ASSERT_EQ(batch.size(), requests.size());
+  // A batch consumes one ordinal per request, so a search after it
+  // continues the sequence where the sequential index stands.
+  const auto after = batched->search(requests.front());
+
+  auto sequential = stored_index(backend, metric, db, opt);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    expect_identical(batch[i], sequential->search(requests[i]));
+  }
+  expect_identical(after, sequential->search(requests.front()));
+  EXPECT_EQ(batched->query_serial(), sequential->query_serial());
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    MetricsAndFidelities, BatchIdenticalT,
-    ::testing::Combine(::testing::Values(DistanceMetric::kHamming,
+    BackendsMetricsAndFidelities, BatchIdenticalT,
+    ::testing::Combine(::testing::Values(Backend::kEngine, Backend::kBanked),
+                       ::testing::Values(DistanceMetric::kHamming,
                                          DistanceMetric::kManhattan,
                                          DistanceMetric::kEuclideanSquared),
                        ::testing::Values(SearchFidelity::kCircuit,
                                          SearchFidelity::kNominal)));
 
-TEST(SearchBatchT, CompositeEncodingMatchesSequential) {
-  FerexOptions opt;
-  const auto db = data::random_int_vectors(16, 6, 16, 21);
-  const auto queries = data::random_int_vectors(9, 6, 16, 22);
+class BatchT : public ::testing::TestWithParam<Backend> {};
 
-  FerexEngine batched(opt);
-  batched.configure_composite(DistanceMetric::kHamming, 4);
-  batched.store(db);
-  const auto batch = batched.search_batch(queries);
-
-  FerexEngine sequential(opt);
-  sequential.configure_composite(DistanceMetric::kHamming, 4);
-  sequential.store(db);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    expect_identical(batch[i], sequential.search(queries[i]));
-  }
+TEST_P(BatchT, EmptyBatchReturnsEmpty) {
+  auto unstored = make_index(GetParam());
+  EXPECT_TRUE(unstored->search_batch({}).empty());
+  auto index = stored_index(GetParam(), DistanceMetric::kHamming,
+                            data::random_int_vectors(8, 4, 4, 31));
+  EXPECT_TRUE(index->search_batch({}).empty());
+  EXPECT_EQ(index->query_serial(), 0u);  // consumed no ordinals
 }
 
-TEST(SearchBatchT, EmptyBatchReturnsEmpty) {
-  FerexEngine engine;
-  engine.configure(DistanceMetric::kHamming, 2);
-  engine.store(data::random_int_vectors(4, 4, 4, 31));
-  const auto before = engine.query_serial();
-  EXPECT_TRUE(engine.search_batch({}).empty());
-  EXPECT_EQ(engine.query_serial(), before);  // consumed no ordinals
-}
-
-TEST(SearchBatchT, SingleElementBatchMatchesSearch) {
+TEST_P(BatchT, SingleElementBatchMatchesSearch) {
   const auto db = data::random_int_vectors(12, 5, 4, 41);
-  const std::vector<std::vector<int>> queries = {db[7]};
+  const auto requests = requests_for({db[7]});
 
-  FerexEngine batched;
-  batched.configure(DistanceMetric::kManhattan, 2);
-  batched.store(db);
-  const auto batch = batched.search_batch(queries);
+  auto batched = stored_index(GetParam(), DistanceMetric::kManhattan, db);
+  const auto batch = batched->search_batch(requests);
   ASSERT_EQ(batch.size(), 1u);
 
-  FerexEngine sequential;
-  sequential.configure(DistanceMetric::kManhattan, 2);
-  sequential.store(db);
-  expect_identical(batch[0], sequential.search(queries[0]));
-  EXPECT_EQ(batch[0].nominal_distance, 0);
+  auto sequential = stored_index(GetParam(), DistanceMetric::kManhattan, db);
+  expect_identical(batch[0], sequential->search(requests[0]));
+  EXPECT_EQ(batch[0].best().nominal_distance, 0);
 }
 
-TEST(SearchBatchT, ThrowsBeforeConfigureAndStore) {
-  FerexEngine engine;
-  const std::vector<std::vector<int>> queries = {{0, 1}};
-  EXPECT_THROW(engine.search_batch(queries), std::logic_error);
-  EXPECT_THROW((void)engine.search_batch({}), std::logic_error);
+TEST_P(BatchT, UnstoredIndexRejectsWithEmptyIndex) {
+  auto index = make_index(GetParam());
+  EXPECT_THROW(index->search_batch(requests_for({{0, 1}})), EmptyIndex);
+  index->configure(DistanceMetric::kHamming, 2);
+  EXPECT_THROW(index->search_batch(requests_for({{0, 1}})), EmptyIndex);
 }
 
-TEST(SearchBatchT, RejectsWrongQueryLength) {
-  FerexEngine engine;
-  engine.configure(DistanceMetric::kHamming, 2);
-  engine.store(data::random_int_vectors(6, 4, 4, 51));
-  const std::vector<std::vector<int>> queries = {{0, 1, 2}};  // dims is 4
-  const auto before = engine.query_serial();
-  EXPECT_THROW(engine.search_batch(queries), std::invalid_argument);
-  EXPECT_THROW(engine.search(queries[0]), std::invalid_argument);
-  EXPECT_THROW(engine.search_k(queries[0], 1), std::invalid_argument);
-  // Rejected queries never consume noise-stream ordinals.
-  EXPECT_EQ(engine.query_serial(), before);
+TEST_P(BatchT, RejectsWrongQueryLength) {
+  const auto db = data::random_int_vectors(8, 4, 4, 95);
+  auto index = stored_index(GetParam(), DistanceMetric::kHamming, db);
+  const auto bad = requests_for({{0, 1, 2}});  // dims is 4
+  EXPECT_THROW(index->search_batch(bad), std::invalid_argument);
+  EXPECT_THROW(index->search(bad[0]), std::invalid_argument);
+  // A bad request anywhere in the batch rejects the whole batch.
+  auto mixed = requests_for(data::random_int_vectors(2, 4, 4, 96));
+  mixed.push_back(bad[0]);
+  EXPECT_THROW(index->search_batch(mixed), std::invalid_argument);
+  // Rejected requests never consume noise-stream ordinals, so the next
+  // accepted ones match a fresh index's first ones.
+  EXPECT_EQ(index->query_serial(), 0u);
+  auto reference = stored_index(GetParam(), DistanceMetric::kHamming, db);
+  for (const auto& request : mixed) {
+    if (request.query.size() != 4) continue;
+    expect_identical(index->search(request), reference->search(request));
+  }
 }
 
-TEST(SearchBatchT, RejectsOutOfRangeValuesAtBothFidelities) {
+TEST_P(BatchT, RejectsOutOfRangeValuesAtBothFidelities) {
   for (const auto fidelity :
        {SearchFidelity::kCircuit, SearchFidelity::kNominal}) {
-    FerexOptions opt;
+    core::FerexOptions opt;
     opt.fidelity = fidelity;
-    FerexEngine engine(opt);
-    engine.configure(DistanceMetric::kHamming, 2);
-    engine.store(data::random_int_vectors(6, 4, 4, 53));
-    const std::vector<std::vector<int>> queries = {{0, 1, 2, 7}};  // 7 > 3
-    const auto before = engine.query_serial();
-    EXPECT_THROW(engine.search_batch(queries), std::out_of_range);
-    EXPECT_THROW(engine.search(queries[0]), std::out_of_range);
-    EXPECT_THROW(engine.search(std::vector<int>{0, 1, 2, -1}),
-                 std::out_of_range);
-    // Rejected queries never consume noise-stream ordinals.
-    EXPECT_EQ(engine.query_serial(), before);
+    auto index = stored_index(GetParam(), DistanceMetric::kHamming,
+                              data::random_int_vectors(6, 4, 4, 53), opt);
+    const auto bad = requests_for({{0, 1, 2, 7}, {0, 1, 2, -1}});  // 0..3
+    EXPECT_THROW(index->search_batch(bad), std::out_of_range);
+    EXPECT_THROW(index->search(bad[0]), std::out_of_range);
+    EXPECT_THROW(index->search(bad[1]), std::out_of_range);
+    EXPECT_EQ(index->query_serial(), 0u);
   }
 }
 
-TEST(SearchBatchT, RejectsOutOfRangeValuesUnderCodec) {
-  FerexEngine engine;
-  engine.configure_composite(DistanceMetric::kHamming, 4);
-  engine.store(data::random_int_vectors(6, 4, 16, 54));
-  const std::vector<std::vector<int>> queries = {{0, 1, 2, 16}};  // 16 > 15
-  const auto before = engine.query_serial();
-  EXPECT_THROW(engine.search_batch(queries), std::out_of_range);
-  EXPECT_THROW(engine.search(queries[0]), std::out_of_range);
-  EXPECT_EQ(engine.query_serial(), before);
-}
-
-TEST(SearchBatchT, RejectsWrongQueryLengthUnderCodecAtNominalFidelity) {
-  // Regression: the codec expands element-wise with no length check, and
-  // the nominal path used to read past the end of a short expanded query.
-  FerexOptions opt;
-  opt.fidelity = SearchFidelity::kNominal;
-  FerexEngine engine(opt);
-  engine.configure_composite(DistanceMetric::kHamming, 4);
-  engine.store(data::random_int_vectors(6, 4, 16, 52));
-  const std::vector<std::vector<int>> queries = {{0, 1, 2}};  // dims is 4
-  EXPECT_THROW(engine.search_batch(queries), std::invalid_argument);
-  EXPECT_THROW(engine.search(queries[0]), std::invalid_argument);
-}
-
-TEST(SearchBatchT, SearchKAgreesWithBatchWinners) {
-  // search_k consumes the same per-query noise stream as search, so the
-  // first of k results at matching ordinals equals the batch winner.
-  const auto db = data::random_int_vectors(20, 6, 4, 61);
-  const auto queries = data::random_int_vectors(8, 6, 4, 62);
-
-  FerexEngine batched;
-  batched.configure(DistanceMetric::kHamming, 2);
-  batched.store(db);
-  const auto batch = batched.search_batch(queries);
-
-  FerexEngine sequential;
-  sequential.configure(DistanceMetric::kHamming, 2);
-  sequential.store(db);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto top3 = sequential.search_k(queries[i], 3);
-    ASSERT_EQ(top3.size(), 3u);
-    EXPECT_EQ(top3.front(), batch[i].nearest);
-  }
-}
-
-TEST(SearchBatchT, RepeatedBatchesAreDeterministicAcrossEngines) {
+TEST_P(BatchT, RepeatedBatchesAreDeterministicAcrossIndexes) {
   const auto db = data::random_int_vectors(18, 7, 4, 71);
-  const auto queries = data::random_int_vectors(32, 7, 4, 72);
-  std::vector<std::vector<SearchResult>> runs;
+  const auto requests =
+      requests_for(data::random_int_vectors(32, 7, 4, 72));
+  std::vector<std::vector<SearchResponse>> runs;
   for (int run = 0; run < 2; ++run) {
-    FerexEngine engine;
-    engine.configure(DistanceMetric::kManhattan, 2);
-    engine.store(db);
-    runs.push_back(engine.search_batch(queries));
+    runs.push_back(stored_index(GetParam(), DistanceMetric::kManhattan, db)
+                       ->search_batch(requests));
   }
-  for (std::size_t i = 0; i < queries.size(); ++i) {
+  for (std::size_t i = 0; i < requests.size(); ++i) {
     expect_identical(runs[0][i], runs[1][i]);
   }
 }
 
-TEST(SearchBatchT, OrdinalsAdvanceAcrossMixedCalls) {
-  // A batch consumes one ordinal per query, so batch-then-search equals
-  // search-then-search at the same positions.
-  const auto db = data::random_int_vectors(10, 5, 4, 81);
-  const auto queries = data::random_int_vectors(5, 5, 4, 82);
+INSTANTIATE_TEST_SUITE_P(Backends, BatchT,
+                         ::testing::Values(Backend::kEngine,
+                                           Backend::kBanked));
 
-  FerexEngine mixed;
-  mixed.configure(DistanceMetric::kHamming, 2);
-  mixed.store(db);
-  const auto batch = mixed.search_batch(queries);
-  const auto after = mixed.search(queries[0]);
-
-  FerexEngine sequential;
-  sequential.configure(DistanceMetric::kHamming, 2);
-  sequential.store(db);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    expect_identical(batch[i], sequential.search(queries[i]));
-  }
-  expect_identical(after, sequential.search(queries[0]));
+// Composite encodings are engine-only (the banked layer configures
+// per-bank monolithic encodings).
+std::unique_ptr<EngineIndex> composite_index(
+    const std::vector<std::vector<int>>& db, core::FerexOptions opt = {}) {
+  auto index = std::make_unique<EngineIndex>(opt);
+  index->configure_composite(DistanceMetric::kHamming, 4);
+  index->store(db);
+  return index;
 }
 
-TEST(BankedBatchT, BatchMatchesSequentialBitExactly) {
-  arch::BankedOptions opt;
-  opt.bank_rows = 6;
-  const auto db = data::random_int_vectors(20, 6, 4, 91);
-  const auto queries = data::random_int_vectors(13, 6, 4, 92);
-
-  arch::BankedAm batched(opt);
-  batched.configure(DistanceMetric::kHamming, 2);
-  batched.store(db);
-  const auto batch = batched.search_batch(queries);
-  ASSERT_EQ(batch.size(), queries.size());
-
-  arch::BankedAm sequential(opt);
-  sequential.configure(DistanceMetric::kHamming, 2);
-  sequential.store(db);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto ref = sequential.search(queries[i]);
-    EXPECT_EQ(batch[i].nearest, ref.nearest);
-    EXPECT_EQ(batch[i].bank, ref.bank);
-    EXPECT_EQ(batch[i].winner_current_a, ref.winner_current_a);
+TEST(EngineBatchT, CompositeEncodingMatchesSequential) {
+  const auto db = data::random_int_vectors(16, 6, 16, 21);
+  const auto requests = requests_for(data::random_int_vectors(9, 6, 16, 22));
+  const auto batch = composite_index(db)->search_batch(requests);
+  auto sequential = composite_index(db);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    expect_identical(batch[i], sequential->search(requests[i]));
   }
 }
 
-TEST(BankedBatchT, EmptyBatchAndErrors) {
-  arch::BankedAm am;
-  EXPECT_THROW((void)am.search_batch({}), std::logic_error);
-  am.configure(DistanceMetric::kHamming, 2);
-  am.store(data::random_int_vectors(8, 4, 4, 95));
-  EXPECT_TRUE(am.search_batch({}).empty());
-  // A wrong-length query is rejected before any ordinal is consumed, so
-  // the noise-stream sequence is unaffected by the failed call.
-  const std::vector<std::vector<int>> bad = {{0, 1}};
-  EXPECT_THROW(am.search_batch(bad), std::invalid_argument);
-  EXPECT_THROW(am.search(bad[0]), std::invalid_argument);
-  const auto good = data::random_int_vectors(3, 4, 4, 96);
-  arch::BankedAm reference;
-  reference.configure(DistanceMetric::kHamming, 2);
-  reference.store(data::random_int_vectors(8, 4, 4, 95));
-  for (const auto& q : good) {
-    EXPECT_EQ(am.search(q).winner_current_a,
-              reference.search(q).winner_current_a);
+TEST(EngineBatchT, RejectsOutOfRangeValuesUnderCodec) {
+  auto index = composite_index(data::random_int_vectors(6, 4, 16, 54));
+  const auto bad = requests_for({{0, 1, 2, 16}});  // 16 > 15
+  EXPECT_THROW(index->search_batch(bad), std::out_of_range);
+  EXPECT_THROW(index->search(bad[0]), std::out_of_range);
+  EXPECT_EQ(index->query_serial(), 0u);
+}
+
+TEST(EngineBatchT, RejectsWrongQueryLengthUnderCodecAtNominalFidelity) {
+  // Regression: the codec expands element-wise with no length check, and
+  // the nominal path used to read past the end of a short expanded query.
+  core::FerexOptions opt;
+  opt.fidelity = SearchFidelity::kNominal;
+  auto index = composite_index(data::random_int_vectors(6, 4, 16, 52), opt);
+  const auto bad = requests_for({{0, 1, 2}});  // dims is 4
+  EXPECT_THROW(index->search_batch(bad), std::invalid_argument);
+  EXPECT_THROW(index->search(bad[0]), std::invalid_argument);
+}
+
+TEST(EngineBatchT, TopKLeadsWithTheBatchWinner) {
+  // The engine's k-NN and single-NN searches draw the same per-query
+  // noise stream, so at matching ordinals the first of k hits is the
+  // batch winner. (The banked k-NN path is a different, noiseless
+  // circuit, so this holds for the engine only.)
+  const auto db = data::random_int_vectors(20, 6, 4, 61);
+  const auto queries = data::random_int_vectors(8, 6, 4, 62);
+  auto batched = stored_index(Backend::kEngine, DistanceMetric::kHamming, db);
+  const auto batch = batched->search_batch(requests_for(queries));
+  auto sequential =
+      stored_index(Backend::kEngine, DistanceMetric::kHamming, db);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto top3 = sequential->search({queries[i], 3});
+    ASSERT_EQ(top3.hits.size(), 3u);
+    EXPECT_EQ(top3.best().global_row, batch[i].best().global_row);
+    EXPECT_EQ(top3.best().sensed_current_a, batch[i].best().sensed_current_a);
   }
 }
 
@@ -280,4 +252,4 @@ TEST(ParallelForT, CoversAllIndicesAndPropagatesExceptions) {
 }
 
 }  // namespace
-}  // namespace ferex::core
+}  // namespace ferex::serve

@@ -109,8 +109,11 @@ TEST(LtaT, NoiseCausesErrorsOnlyAtSmallMargins) {
 TEST(LtaT, DecideKMasksPreviousWinners) {
   const LtaCircuit lta;
   const std::vector<double> currents{5e-7, 1e-7, 3e-7, 2e-7};
-  const auto top3 = lta.decide_k(currents, 1e-7, 3, nullptr);
-  EXPECT_EQ(top3, (std::vector<std::size_t>{1, 3, 2}));
+  const auto top3 = lta.decide_k_detailed(currents, 1e-7, 3, nullptr);
+  ASSERT_EQ(top3.size(), 3u);
+  EXPECT_EQ(top3[0].winner, 1u);
+  EXPECT_EQ(top3[1].winner, 3u);
+  EXPECT_EQ(top3[2].winner, 2u);
 }
 
 TEST(LtaT, DelayGrowsLogarithmically) {
@@ -126,8 +129,10 @@ TEST(LtaT, RejectsDegenerateInput) {
   const LtaCircuit lta;
   EXPECT_THROW(lta.decide({}, 1e-7, nullptr), std::invalid_argument);
   const std::vector<double> one{1e-7};
-  EXPECT_THROW(lta.decide_k(one, 1e-7, 2, nullptr), std::invalid_argument);
-  EXPECT_THROW(lta.decide_k(one, 1e-7, 0, nullptr), std::invalid_argument);
+  EXPECT_THROW(lta.decide_k_detailed(one, 1e-7, 2, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(lta.decide_k_detailed(one, 1e-7, 0, nullptr),
+               std::invalid_argument);
 }
 
 // --------------------------------------------------------- crossbar ---

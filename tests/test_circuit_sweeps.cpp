@@ -154,9 +154,10 @@ TEST(LtaStatistics, DecideKEquivalentToFullSortWhenNoiseless) {
   util::Rng rng(7);
   std::vector<double> currents(50);
   for (auto& c : currents) c = rng.uniform(0.0, 1.0);
-  const auto ranked = lta.decide_k(currents, 1.0, 50, nullptr);
+  const auto ranked = lta.decide_k_detailed(currents, 1.0, 50, nullptr);
+  ASSERT_EQ(ranked.size(), 50u);
   for (std::size_t i = 1; i < ranked.size(); ++i) {
-    EXPECT_LE(currents[ranked[i - 1]], currents[ranked[i]]);
+    EXPECT_LE(currents[ranked[i - 1].winner], currents[ranked[i].winner]);
   }
 }
 

@@ -148,10 +148,10 @@ TEST(CompositeEngine, ThreeBitHammingSearchMatchesSoftware) {
     for (auto& v : row) v = static_cast<int>(rng.uniform_below(8));
   }
   engine.store(db);
-  for (int trial = 0; trial < 15; ++trial) {
+  for (std::uint64_t trial = 0; trial < 15; ++trial) {
     std::vector<int> query(dims);
     for (auto& v : query) v = static_cast<int>(rng.uniform_below(8));
-    const auto result = engine.search(query);
+    const auto result = engine.search_hits_at(query, 1, trial).front();
     long long best = std::numeric_limits<long long>::max();
     for (const auto& row : db) {
       best = std::min(best,
@@ -195,16 +195,16 @@ TEST(CompositeEngine, ReconfigureBetweenMonolithicAndComposite) {
   engine.store({{0, 1}, {3, 2}});
   EXPECT_EQ(engine.codec(), nullptr);
   const std::vector<int> q{0, 2};
-  const auto mono = engine.search(q).nominal_distance;
+  const auto mono = engine.search_hits_at(q, 1, 0).front().nominal_distance;
 
   engine.configure_composite(DistanceMetric::kHamming, 2);  // composite
   ASSERT_NE(engine.codec(), nullptr);
-  const auto comp = engine.search(q).nominal_distance;
+  const auto comp = engine.search_hits_at(q, 1, 1).front().nominal_distance;
   EXPECT_EQ(mono, comp);  // same metric, same data, same answer
 
   engine.configure(DistanceMetric::kHamming, 2);  // and back
   EXPECT_EQ(engine.codec(), nullptr);
-  EXPECT_EQ(engine.search(q).nominal_distance, mono);
+  EXPECT_EQ(engine.search_hits_at(q, 1, 2).front().nominal_distance, mono);
 }
 
 TEST(CompositeEngine, EuclideanCompositeThrows) {

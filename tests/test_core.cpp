@@ -15,6 +15,12 @@ std::vector<std::vector<int>> toy_database() {
           {0, 1, 2, 3}, {3, 2, 1, 0}};
 }
 
+/// The single-NN winner at `ordinal` (the search core at k = 1).
+SearchResult nearest(const FerexEngine& engine, std::span<const int> query,
+                     std::uint64_t ordinal = 0) {
+  return engine.search_hits_at(query, 1, ordinal).front();
+}
+
 FerexOptions noiseless_options() {
   FerexOptions opt;
   opt.circuit.variation.enabled = false;
@@ -26,7 +32,7 @@ TEST(FerexEngine, LifecycleGuards) {
   FerexEngine engine;
   EXPECT_FALSE(engine.configured());
   const std::vector<int> q{0};
-  EXPECT_THROW(engine.search(q), std::logic_error);
+  EXPECT_THROW(engine.search_hits_at(q, 1, 0), std::logic_error);
   EXPECT_THROW(engine.encoding(), std::logic_error);
   EXPECT_THROW(engine.distance_matrix(), std::logic_error);
   EXPECT_THROW(engine.store({}), std::invalid_argument);
@@ -42,7 +48,7 @@ TEST(FerexEngine, ConfigureThenStoreThenSearch) {
   EXPECT_EQ(engine.dims(), 4u);
 
   const std::vector<int> query{1, 1, 1, 1};
-  const auto result = engine.search(query);
+  const auto result = nearest(engine, query);
   EXPECT_EQ(result.nearest, 1u);  // exact match stored at row 1
   EXPECT_EQ(result.nominal_distance, 0);
 }
@@ -57,10 +63,10 @@ TEST(FerexEngine, SearchMatchesSoftwareArgminAcrossMetrics) {
     engine.configure(metric, 2);
     engine.store(toy_database());
     util::Rng rng(42);
-    for (int trial = 0; trial < 30; ++trial) {
+    for (std::uint64_t trial = 0; trial < 30; ++trial) {
       std::vector<int> query(4);
       for (auto& v : query) v = static_cast<int>(rng.uniform_below(4));
-      const auto result = engine.search(query);
+      const auto result = nearest(engine, query, trial);
       // The winner's software distance must equal the global minimum.
       int min_dist = std::numeric_limits<int>::max();
       for (std::size_t r = 0; r < engine.stored_count(); ++r) {
@@ -82,13 +88,13 @@ TEST(FerexEngine, NominalFidelityAgreesWithCircuitWhenNoiseless) {
     engine->store(toy_database());
   }
   util::Rng rng(7);
-  for (int trial = 0; trial < 25; ++trial) {
+  for (std::uint64_t trial = 0; trial < 25; ++trial) {
     std::vector<int> query(4);
     for (auto& v : query) v = static_cast<int>(rng.uniform_below(4));
     // Winners may differ on exact distance ties (the tiny subthreshold
     // leak perturbs tie-breaking); the winning *distance* must agree.
-    const auto c = circuit_engine.search(query);
-    const auto n = nominal_engine.search(query);
+    const auto c = nearest(circuit_engine, query, trial);
+    const auto n = nearest(nominal_engine, query, trial);
     EXPECT_EQ(circuit_engine.software_distance(query, c.nearest),
               nominal_engine.software_distance(query, n.nearest));
   }
@@ -107,13 +113,13 @@ TEST(FerexEngine, ReconfigurationChangesWinner) {
   engine.configure(DistanceMetric::kManhattan, 2);
   engine.store({{2, 2, 2, 2}, {3, 3, 3, 3}});
   const std::vector<int> query{1, 1, 1, 1};
-  EXPECT_EQ(engine.search(query).nearest, 0u);
+  EXPECT_EQ(nearest(engine, query, 0).nearest, 0u);
 
   engine.configure(DistanceMetric::kHamming, 2);  // same data, re-encoded
-  EXPECT_EQ(engine.search(query).nearest, 1u);
+  EXPECT_EQ(nearest(engine, query, 1).nearest, 1u);
 
   engine.configure(DistanceMetric::kManhattan, 2);  // and back
-  EXPECT_EQ(engine.search(query).nearest, 0u);
+  EXPECT_EQ(nearest(engine, query, 2).nearest, 0u);
 }
 
 TEST(FerexEngine, SearchKReturnsSortedNeighbors) {
@@ -121,12 +127,12 @@ TEST(FerexEngine, SearchKReturnsSortedNeighbors) {
   engine.configure(DistanceMetric::kManhattan, 2);
   engine.store({{0, 0}, {1, 1}, {2, 2}, {3, 3}});
   const std::vector<int> query{0, 1};
-  const auto top3 = engine.search_k(query, 3);
+  const auto top3 = engine.search_hits_at(query, 3, 0);
   ASSERT_EQ(top3.size(), 3u);
   // Distances: row0=1, row1=1, row2=3, row3=5.
-  EXPECT_TRUE((top3[0] == 0 && top3[1] == 1) ||
-              (top3[0] == 1 && top3[1] == 0));
-  EXPECT_EQ(top3[2], 2u);
+  EXPECT_TRUE((top3[0].nearest == 0 && top3[1].nearest == 1) ||
+              (top3[0].nearest == 1 && top3[1].nearest == 0));
+  EXPECT_EQ(top3[2].nearest, 2u);
 }
 
 TEST(FerexEngine, CustomDistanceMatrixEndToEnd) {
@@ -144,7 +150,7 @@ TEST(FerexEngine, CustomDistanceMatrixEndToEnd) {
   engine.store({{0, 0}, {3, 3}});
   const std::vector<int> query{2, 2};
   // Stored row 1 is all wildcards: distance 0 < |2-0|*2.
-  EXPECT_EQ(engine.search(query).nearest, 1u);
+  EXPECT_EQ(nearest(engine, query).nearest, 1u);
 }
 
 TEST(FerexEngine, InfeasibleConfigurationThrows) {
@@ -220,7 +226,7 @@ TEST(FerexEngine, StoreBeforeConfigureThenConfigureProgramsArray) {
   engine.configure(DistanceMetric::kHamming, 2);
   ASSERT_NE(engine.array(), nullptr);
   const std::vector<int> query{3, 3, 3, 3};
-  EXPECT_EQ(engine.search(query).nearest, 3u);
+  EXPECT_EQ(nearest(engine, query).nearest, 3u);
 }
 
 }  // namespace

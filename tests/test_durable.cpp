@@ -304,6 +304,86 @@ TEST_P(DurableParityT, SaveAndLoadRoundTripOnDisk) {
                std::system_error);
 }
 
+// The v1 layout of serve/snapshot.cpp: a 24-byte envelope (magic,
+// version, payload CRC at byte 12, payload size), then a 27-byte payload
+// header (backend, fidelity, composite, metric, bits, watermark, serving
+// serial), then the backend state.
+constexpr std::size_t kSnapshotEnvelope = 24;
+constexpr std::size_t kSnapshotCrcAt = 12;
+constexpr std::size_t kSnapshotStateAt = kSnapshotEnvelope + 27;
+
+std::uint64_t get_le(const std::vector<std::uint8_t>& bytes, std::size_t at,
+                     int width) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < width; ++i) {
+    v |= static_cast<std::uint64_t>(bytes.at(at + i)) << (8 * i);
+  }
+  return v;
+}
+
+void put_le(std::vector<std::uint8_t>& bytes, std::size_t at, int width,
+            std::uint64_t v) {
+  for (int i = 0; i < width; ++i) {
+    bytes.at(at + i) = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+/// Writes `value` into the reserved u64 of the engine state starting at
+/// `at` (rows, dims, database, live mask, reserved, rng lanes, cached
+/// gaussian, its flag, device count, Vth offsets, resistances) and
+/// returns the offset just past the state.
+std::size_t poke_engine_reserved(std::vector<std::uint8_t>& bytes,
+                                 std::size_t at, std::uint64_t value) {
+  const std::uint64_t rows = get_le(bytes, at, 8);
+  const std::uint64_t dims = get_le(bytes, at + 8, 8);
+  std::size_t cursor = at + 16 + rows * dims * 4 + rows;
+  EXPECT_EQ(get_le(bytes, cursor, 8), 0u);  // written as 0
+  put_le(bytes, cursor, 8, value);
+  cursor += 8 + 4 * 8 + 8 + 1;
+  return cursor + 8 + get_le(bytes, cursor, 8) * 16;
+}
+
+TEST_P(DurableParityT, RetiredSerialFieldsAreIgnoredOnRead) {
+  // Older builds kept per-backend query serials and wrote them into the
+  // two reserved u64 fields; a backend driven outside the index left
+  // them nonzero. The index owns every ordinal, so those values must not
+  // change what a restored index serves or re-encodes.
+  const auto [backend, fidelity] = GetParam();
+  const auto db = data::random_int_vectors(6, 5, 4, 1009);
+  const auto queries = data::random_int_vectors(4, 5, 4, 1010);
+  auto live = make_index(backend, fidelity, db);
+  live->remove(1);
+  live->search({queries[0], 2, std::nullopt});
+  const auto canonical = serve::encode_snapshot(*live, 9);
+
+  auto with_serials = canonical;
+  std::uint64_t value = 0x5e71a1;
+  if (backend == Backend::kEngine) {
+    EXPECT_EQ(poke_engine_reserved(with_serials, kSnapshotStateAt, value),
+              with_serials.size());
+  } else {
+    // bank_rows, reserved, bank count, then (offset, engine state) each.
+    EXPECT_EQ(get_le(with_serials, kSnapshotStateAt + 8, 8), 0u);
+    put_le(with_serials, kSnapshotStateAt + 8, 8, value);
+    const std::uint64_t banks = get_le(with_serials, kSnapshotStateAt + 16, 8);
+    ASSERT_EQ(banks, 2u);
+    std::size_t cursor = kSnapshotStateAt + 24;
+    for (std::uint64_t b = 0; b < banks; ++b) {
+      cursor = poke_engine_reserved(with_serials, cursor + 8, ++value);
+    }
+    EXPECT_EQ(cursor, with_serials.size());
+  }
+  put_le(with_serials, kSnapshotCrcAt, 4,
+         encode::crc32(with_serials.data() + kSnapshotEnvelope,
+                       with_serials.size() - kSnapshotEnvelope));
+  ASSERT_NE(with_serials, canonical);
+
+  auto restored = make_empty(backend, fidelity);
+  EXPECT_EQ(serve::install_snapshot(*restored, with_serials), 9u);
+  EXPECT_EQ(serve::encode_snapshot(*restored, 9), canonical);
+  expect_same_state(*live, *restored, queries, db[1]);
+}
+
 TEST(SnapshotMismatchT, WrongBackendFidelityOrGeometryIsTyped) {
   const auto db = data::random_int_vectors(5, 4, 4, 1007);
 

@@ -13,12 +13,13 @@
 #include <utility>
 #include <vector>
 
-#include "arch/banked_am.hpp"
 #include "circuit/crossbar.hpp"
 #include "core/ferex.hpp"
 #include "core/profiler.hpp"
 #include "data/datasets.hpp"
 #include "encode/encoder.hpp"
+#include "serve/banked_index.hpp"
+#include "serve/engine_index.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -27,6 +28,21 @@ namespace {
 
 using csp::DistanceMetric;
 
+std::vector<serve::SearchRequest> requests_for(
+    const std::vector<std::vector<int>>& queries) {
+  std::vector<serve::SearchRequest> requests;
+  for (const auto& q : queries) requests.emplace_back(q);
+  return requests;
+}
+
+void expect_same_best(const serve::SearchResponse& a,
+                      const serve::SearchResponse& b) {
+  EXPECT_EQ(a.best().global_row, b.best().global_row);
+  EXPECT_EQ(a.best().bank, b.best().bank);
+  EXPECT_EQ(a.best().sensed_current_a, b.best().sensed_current_a);
+  EXPECT_EQ(a.best().margin_a, b.best().margin_a);
+  EXPECT_EQ(a.best().nominal_distance, b.best().nominal_distance);
+}
 
 struct KernelCase {
   DistanceMetric metric;
@@ -126,34 +142,29 @@ core::FerexOptions engine_options(core::SearchFidelity fidelity,
 
 TEST(HotPathEngine, IntraQueryParallelSearchIsDeterministic) {
   const auto db = data::random_int_vectors(24, 16, 4, 3);
-  const auto queries = data::random_int_vectors(12, 16, 4, 5);
+  const auto requests =
+      requests_for(data::random_int_vectors(12, 16, 4, 5));
   for (const auto fidelity :
        {core::SearchFidelity::kCircuit, core::SearchFidelity::kNominal}) {
     // `1` forces the row fan-out for every query (when >1 hw thread);
     // `0` disables it. Results must not depend on the schedule.
-    core::FerexEngine serial(engine_options(fidelity, 0));
-    core::FerexEngine fanned(engine_options(fidelity, 1));
-    for (auto* engine : {&serial, &fanned}) {
-      engine->configure(DistanceMetric::kManhattan, 2);
-      engine->store(db);
+    serve::EngineIndex serial(engine_options(fidelity, 0));
+    serve::EngineIndex fanned(engine_options(fidelity, 1));
+    for (auto* index : {&serial, &fanned}) {
+      index->configure(DistanceMetric::kManhattan, 2);
+      index->store(db);
     }
-    for (const auto& q : queries) {
-      const auto a = serial.search(q);
-      const auto b = fanned.search(q);
-      EXPECT_EQ(a.nearest, b.nearest);
-      EXPECT_EQ(a.winner_current_a, b.winner_current_a);
-      EXPECT_EQ(a.margin_a, b.margin_a);
-      EXPECT_EQ(a.nominal_distance, b.nominal_distance);
+    for (const auto& request : requests) {
+      expect_same_best(serial.search(request), fanned.search(request));
     }
     // Small batch (< pool width on multicore hosts): exercises the
     // serial-queries + fanned-rows schedule against the fanned-queries
     // one.
-    const auto batch_a = serial.search_batch(queries);
-    const auto batch_b = fanned.search_batch(queries);
+    const auto batch_a = serial.search_batch(requests);
+    const auto batch_b = fanned.search_batch(requests);
     ASSERT_EQ(batch_a.size(), batch_b.size());
     for (std::size_t i = 0; i < batch_a.size(); ++i) {
-      EXPECT_EQ(batch_a[i].nearest, batch_b[i].nearest);
-      EXPECT_EQ(batch_a[i].winner_current_a, batch_b[i].winner_current_a);
+      expect_same_best(batch_a[i], batch_b[i]);
     }
   }
 }
@@ -181,22 +192,20 @@ TEST(HotPathEngine, BankedSearchUnaffectedByBankFanOut) {
   const auto queries = data::random_int_vectors(9, 12, 4, 29);
   arch::BankedOptions options;
   options.bank_rows = 8;  // 5 banks
-  arch::BankedAm banked(options);
+  serve::BankedIndex banked(options);
   banked.configure(DistanceMetric::kHamming, 2);
   banked.store(db);
-  arch::BankedAm sequential(options);
+  serve::BankedIndex sequential(options);
   sequential.configure(DistanceMetric::kHamming, 2);
   sequential.store(db);
 
   // Batch (fans queries or banks depending on pool width) vs one-by-one
   // single search (fans banks): must agree bit for bit.
-  const auto batch = banked.search_batch(queries);
+  const auto requests = requests_for(queries);
+  const auto batch = banked.search_batch(requests);
   ASSERT_EQ(batch.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto single = sequential.search(queries[i]);
-    EXPECT_EQ(batch[i].nearest, single.nearest);
-    EXPECT_EQ(batch[i].bank, single.bank);
-    EXPECT_EQ(batch[i].winner_current_a, single.winner_current_a);
+    expect_same_best(batch[i], sequential.search(requests[i]));
   }
 }
 
@@ -210,7 +219,9 @@ TEST(SclSolveCounters, EverySolveIsAccounted) {
   array->reset_scl_solve_stats();
 
   const auto queries = data::random_int_vectors(5, dims, 4, 37);
-  for (const auto& q : queries) (void)engine.search(q);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    (void)engine.search_hits_at(queries[i], 1, i);
+  }
   const auto stats = array->scl_solve_stats();
   EXPECT_EQ(stats.solves, rows * queries.size());
   // With the default clamp the ScL sits on the op-amp's few-hundred-ohm
@@ -230,7 +241,9 @@ TEST(SclSolveCounters, NominalFidelityRunsNoSolves) {
   engine.configure(DistanceMetric::kHamming, 2);
   engine.store(data::random_int_vectors(6, 8, 4, 41));
   engine.array()->reset_scl_solve_stats();
-  for (const auto& q : data::random_int_vectors(4, 8, 4, 43)) (void)engine.search(q);
+  for (const auto& q : data::random_int_vectors(4, 8, 4, 43)) {
+    (void)engine.search_hits_at(q, 1, 0);
+  }
   EXPECT_EQ(engine.array()->scl_solve_stats().solves, 0u);
 }
 

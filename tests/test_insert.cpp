@@ -24,6 +24,15 @@ void expect_identical(const SearchResult& a, const SearchResult& b) {
   EXPECT_EQ(a.nominal_distance, b.nominal_distance);
 }
 
+/// Both engines' single-NN winners for each query, query i at ordinal i.
+void expect_identical_searches(const FerexEngine& a, const FerexEngine& b,
+                               const std::vector<std::vector<int>>& queries) {
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    expect_identical(a.search_hits_at(queries[i], 1, i).front(),
+                     b.search_hits_at(queries[i], 1, i).front());
+  }
+}
+
 class InsertIdenticalT
     : public ::testing::TestWithParam<std::tuple<DistanceMetric,
                                                  SearchFidelity>> {};
@@ -54,9 +63,7 @@ TEST_P(InsertIdenticalT, InsertsMatchFreshStoreBitExactly) {
               stored.array()->device_resistance(r, 3, 0));
   }
   // Search-level identity, including comparator noise streams.
-  for (const auto& q : queries) {
-    expect_identical(streamed.search(q), stored.search(q));
-  }
+  expect_identical_searches(streamed, stored, queries);
 }
 
 TEST_P(InsertIdenticalT, StoreThenInsertTailMatchesFullStore) {
@@ -75,9 +82,7 @@ TEST_P(InsertIdenticalT, StoreThenInsertTailMatchesFullStore) {
   partial.store({db.begin(), db.begin() + 6});
   for (std::size_t r = 6; r < db.size(); ++r) partial.insert(db[r]);
 
-  for (const auto& q : queries) {
-    expect_identical(partial.search(q), full.search(q));
-  }
+  expect_identical_searches(partial, full, queries);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -100,9 +105,7 @@ TEST(InsertT, CompositeCodecInsertsMatchFreshStore) {
   streamed.configure_composite(DistanceMetric::kHamming, 4);
   for (const auto& row : db) streamed.insert(row);
 
-  for (const auto& q : queries) {
-    expect_identical(streamed.search(q), stored.search(q));
-  }
+  expect_identical_searches(streamed, stored, queries);
 }
 
 TEST(InsertT, InsertThenReconfigureReencodesInsertedRows) {
@@ -114,8 +117,9 @@ TEST(InsertT, InsertThenReconfigureReencodesInsertedRows) {
   engine.configure(DistanceMetric::kManhattan, 2);
   EXPECT_EQ(engine.stored_count(), db.size());
   const auto queries = data::random_int_vectors(6, 6, 4, 58);
-  for (const auto& q : queries) {
-    const auto result = engine.search(q);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto& q = queries[i];
+    const auto result = engine.search_hits_at(q, 1, i).front();
     // The winner's reported distance is the Manhattan distance — the
     // inserted rows were re-encoded under the new metric.
     EXPECT_EQ(result.nominal_distance,
@@ -176,8 +180,8 @@ TEST(InsertT, RejectsWithoutMutating) {
   FerexEngine fresh;
   fresh.configure(DistanceMetric::kHamming, 2);
   fresh.store(db);
-  const auto q = data::random_int_vectors(1, 6, 4, 61).front();
-  expect_identical(engine.search(q), fresh.search(q));
+  expect_identical_searches(engine, fresh,
+                            data::random_int_vectors(1, 6, 4, 61));
 }
 
 }  // namespace
@@ -223,13 +227,17 @@ TEST_P(BankedInsertT, InsertsAcrossBankBoundariesMatchFreshStore) {
   EXPECT_EQ(streamed.stored_count(), stored.stored_count());
   EXPECT_EQ(streamed.dims(), 6u);
 
-  for (const auto& q : queries) {
-    expect_identical(streamed.search(q), stored.search(q));
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    expect_identical(streamed.search_at(queries[i], i),
+                     stored.search_at(queries[i], i));
   }
   // k-NN crosses bank boundaries identically too.
-  const auto all_stored = stored.search_k(queries.front(), db.size());
-  const auto all_streamed = streamed.search_k(queries.front(), db.size());
-  EXPECT_EQ(all_stored, all_streamed);
+  const auto all_stored = stored.search_k_hits(queries.front(), db.size());
+  const auto all_streamed = streamed.search_k_hits(queries.front(), db.size());
+  ASSERT_EQ(all_stored.size(), all_streamed.size());
+  for (std::size_t i = 0; i < all_stored.size(); ++i) {
+    expect_identical(all_streamed[i], all_stored[i]);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Fidelities, BankedInsertT,

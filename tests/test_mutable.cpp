@@ -149,7 +149,8 @@ TEST(LtaMaskT, MaskedDecideValidation) {
   // k bounded by live rows, not physical rows.
   EXPECT_THROW(lta.decide_k_detailed(currents, 1.0, 3, nullptr, live),
                std::invalid_argument);
-  EXPECT_EQ(lta.decide_k(currents, 1.0, 2, nullptr, live).size(), 2u);
+  EXPECT_EQ(lta.decide_k_detailed(currents, 1.0, 2, nullptr, live).size(),
+            2u);
 }
 
 // ------------------------------------------------------------ engine --
@@ -164,11 +165,11 @@ TEST(EngineMutT, RemoveExcludesRowAndBoundsK) {
 
   // Deleting the current winner must dethrone it.
   const auto q = data::random_int_vectors(1, 5, 4, 906).front();
-  const auto before = engine.search_at(q, 0);
+  const auto before = engine.search_hits_at(q, 1, 0).front();
   engine.remove(before.nearest);
   EXPECT_EQ(engine.live_count(), 5u);
   EXPECT_EQ(engine.stored_count(), 6u);
-  const auto after = engine.search_at(q, 0);
+  const auto after = engine.search_hits_at(q, 1, 0).front();
   EXPECT_NE(after.nearest, before.nearest);
 
   // k == live_count covers exactly the live rows; one more throws.
@@ -224,7 +225,8 @@ TEST(EngineMutT, UpdateCostEqualsEraseThenProgram) {
                    program_cost.latency_s + erase_cost.latency_s);
   // And the two engines hold identical data afterwards.
   const auto q = data::random_int_vectors(1, 5, 4, 909).front();
-  expect_identical(updated.search_at(q, 4), sequenced.search_at(q, 4));
+  expect_identical(updated.search_hits_at(q, 1, 4).front(),
+                   sequenced.search_hits_at(q, 1, 4).front());
 }
 
 class EngineInterleaveT : public ::testing::TestWithParam<SearchFidelity> {};
@@ -347,11 +349,12 @@ TEST(EngineMutT, AllRemovedEngineRejectsSearches) {
   engine.remove(1);
   EXPECT_EQ(engine.live_count(), 0u);
   const std::vector<int> q(4, 0);
-  EXPECT_THROW(engine.search(q), std::logic_error);
-  EXPECT_THROW(engine.search_at(q, 0), std::logic_error);
+  // No k can be valid with nothing live (serving layers turn this into
+  // the typed EmptyIndex before reaching the engine).
+  EXPECT_THROW(engine.search_hits_at(q, 1, 0), std::invalid_argument);
   // Insert revives the index through the freed slots.
   EXPECT_EQ(engine.insert(std::vector<int>(4, 1)).row, 0u);
-  EXPECT_EQ(engine.search_at(q, 0).nearest, 0u);
+  EXPECT_EQ(engine.search_hits_at(q, 1, 0).front().nearest, 0u);
 }
 
 // ------------------------------------------------------------ banked --

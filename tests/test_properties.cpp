@@ -187,10 +187,10 @@ TEST(EngineProperty, WinnerNeverBeatenBySoftwareScan) {
       for (auto& v : row) v = static_cast<int>(rng.uniform_below(levels));
     }
     engine.store(db);
-    for (int q = 0; q < 10; ++q) {
+    for (std::uint64_t q = 0; q < 10; ++q) {
       std::vector<int> query(dims);
       for (auto& v : query) v = static_cast<int>(rng.uniform_below(levels));
-      const auto winner = engine.search(query).nearest;
+      const auto winner = engine.search_hits_at(query, 1, q).front().nearest;
       long long best = std::numeric_limits<long long>::max();
       for (const auto& row : db) {
         best = std::min(best, ml::vector_distance(metric, query, row));
@@ -201,8 +201,8 @@ TEST(EngineProperty, WinnerNeverBeatenBySoftwareScan) {
 }
 
 TEST(EngineProperty, SearchKPrefixStable) {
-  // search_k(q, k) must be a prefix-consistent ranking: the first j
-  // results of search_k(q, k) equal (by distance) search_k(q, j).
+  // The top-k ranking must be prefix-consistent: the first j hits at
+  // k = 5 equal (by distance) the hits at k = j.
   core::FerexOptions opt;
   opt.circuit.variation.enabled = false;
   opt.lta.offset_sigma_rel = 0.0;
@@ -216,14 +216,14 @@ TEST(EngineProperty, SearchKPrefixStable) {
   engine.store(db);
   std::vector<int> query(8);
   for (auto& v : query) v = static_cast<int>(rng.uniform_below(4));
-  const auto top5 = engine.search_k(query, 5);
+  const auto top5 = engine.search_hits_at(query, 5, 0);
   for (std::size_t j = 1; j <= 5; ++j) {
-    const auto topj = engine.search_k(query, j);
+    const auto topj = engine.search_hits_at(query, j, j);
     for (std::size_t i = 0; i < j; ++i) {
       EXPECT_EQ(ml::vector_distance(DistanceMetric::kManhattan, query,
-                                    db[topj[i]]),
+                                    db[topj[i].nearest]),
                 ml::vector_distance(DistanceMetric::kManhattan, query,
-                                    db[top5[i]]));
+                                    db[top5[i].nearest]));
     }
   }
 }

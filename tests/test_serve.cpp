@@ -1,7 +1,9 @@
 // Tests for the AmIndex serving layer: the unified request/response API
-// must be bit-identical to the legacy FerexEngine / BankedAm entry
-// points across metric x fidelity x k x single/batched, drivable from
-// const contexts, and must validate requests before consuming ordinals.
+// must be bit-identical to each backend's search core at the ordinal it
+// assigns (FerexEngine::search_hits_at; BankedAm::search_at for k = 1,
+// search_k_hits for k > 1) across metric x fidelity x k x
+// single/batched, drivable from const contexts, and must validate
+// requests before consuming ordinals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -57,51 +59,45 @@ class ServeParityT
     : public ::testing::TestWithParam<std::tuple<DistanceMetric,
                                                  SearchFidelity>> {};
 
-TEST_P(ServeParityT, EngineIndexSearchMatchesLegacyBitExactly) {
+TEST_P(ServeParityT, EngineIndexSearchMatchesCoreBitExactly) {
   const auto [metric, fidelity] = GetParam();
   core::FerexOptions opt;
   opt.fidelity = fidelity;
   const auto db = data::random_int_vectors(24, 8, 4, 21);
   const auto queries = data::random_int_vectors(12, 8, 4, 22);
 
-  core::FerexEngine legacy(opt);
-  legacy.configure(metric, 2);
-  legacy.store(db);
   EngineIndex index(opt);
   index.configure(metric, 2);
   index.store(db);
 
-  // The same request sequence consumes the same ordinals, so every hit
-  // is bit-identical to the legacy engine.
-  for (const auto& q : queries) {
-    const auto legacy_result = legacy.search(q);
-    const auto response = index.search(req(q));
+  // Request i consumes ordinal i, so its hit is the engine core's at i.
+  for (std::uint64_t i = 0; i < queries.size(); ++i) {
+    const auto response = index.search(req(queries[i]));
     ASSERT_EQ(response.hits.size(), 1u);
-    expect_hit_matches(response.best(), legacy_result);
+    expect_hit_matches(response.best(),
+                       index.engine().search_hits_at(queries[i], 1, i).front());
   }
   EXPECT_EQ(index.query_serial(), queries.size());
 }
 
-TEST_P(ServeParityT, EngineIndexTopKMatchesSearchK) {
+TEST_P(ServeParityT, EngineIndexTopKMatchesCore) {
   const auto [metric, fidelity] = GetParam();
   core::FerexOptions opt;
   opt.fidelity = fidelity;
   const auto db = data::random_int_vectors(24, 8, 4, 23);
   const auto queries = data::random_int_vectors(6, 8, 4, 24);
 
-  core::FerexEngine legacy(opt);
-  legacy.configure(metric, 2);
-  legacy.store(db);
   EngineIndex index(opt);
   index.configure(metric, 2);
   index.store(db);
 
-  for (const auto& q : queries) {
-    const auto winners = legacy.search_k(q, 5);
+  for (std::uint64_t i = 0; i < queries.size(); ++i) {
+    const auto& q = queries[i];
+    const auto core_hits = index.engine().search_hits_at(q, 5, i);
     const auto response = index.search(req(q, 5));
     ASSERT_EQ(response.hits.size(), 5u);
-    for (std::size_t i = 0; i < winners.size(); ++i) {
-      EXPECT_EQ(response.hits[i].global_row, winners[i]);
+    for (std::size_t j = 0; j < core_hits.size(); ++j) {
+      expect_hit_matches(response.hits[j], core_hits[j]);
     }
     // Hit detail is self-consistent: nominal distance of each hit
     // matches the engine's reference for that row.
@@ -112,33 +108,30 @@ TEST_P(ServeParityT, EngineIndexTopKMatchesSearchK) {
   }
 }
 
-TEST_P(ServeParityT, EngineIndexBatchMatchesLegacyBatch) {
+TEST_P(ServeParityT, EngineIndexBatchMatchesCore) {
   const auto [metric, fidelity] = GetParam();
   core::FerexOptions opt;
   opt.fidelity = fidelity;
   const auto db = data::random_int_vectors(24, 8, 4, 25);
   const auto queries = data::random_int_vectors(9, 8, 4, 26);
 
-  core::FerexEngine legacy(opt);
-  legacy.configure(metric, 2);
-  legacy.store(db);
   EngineIndex index(opt);
   index.configure(metric, 2);
   index.store(db);
 
-  const auto legacy_results = legacy.search_batch(queries);
   std::vector<SearchRequest> requests;
   for (const auto& q : queries) requests.push_back(req(q));
   const auto responses = index.search_batch(requests);
-  ASSERT_EQ(responses.size(), legacy_results.size());
-  for (std::size_t i = 0; i < responses.size(); ++i) {
+  ASSERT_EQ(responses.size(), queries.size());
+  for (std::uint64_t i = 0; i < responses.size(); ++i) {
     ASSERT_EQ(responses[i].hits.size(), 1u);
-    expect_hit_matches(responses[i].best(), legacy_results[i]);
+    expect_hit_matches(responses[i].best(),
+                       index.engine().search_hits_at(queries[i], 1, i).front());
   }
   EXPECT_EQ(index.query_serial(), queries.size());
 }
 
-TEST_P(ServeParityT, BankedIndexSearchMatchesLegacyBitExactly) {
+TEST_P(ServeParityT, BankedIndexSearchMatchesCoreBitExactly) {
   const auto [metric, fidelity] = GetParam();
   arch::BankedOptions opt;
   opt.bank_rows = 7;
@@ -146,23 +139,20 @@ TEST_P(ServeParityT, BankedIndexSearchMatchesLegacyBitExactly) {
   const auto db = data::random_int_vectors(25, 8, 4, 27);
   const auto queries = data::random_int_vectors(10, 8, 4, 28);
 
-  arch::BankedAm legacy(opt);
-  legacy.configure(metric, 2);
-  legacy.store(db);
   BankedIndex index(opt);
   index.configure(metric, 2);
   index.store(db);
   EXPECT_EQ(index.bank_count(), 4u);
 
-  for (const auto& q : queries) {
-    const auto legacy_result = legacy.search(q);
-    const auto response = index.search(req(q));
+  for (std::uint64_t i = 0; i < queries.size(); ++i) {
+    const auto response = index.search(req(queries[i]));
     ASSERT_EQ(response.hits.size(), 1u);
-    expect_hit_matches(response.best(), legacy_result);
+    expect_hit_matches(response.best(),
+                       index.banked().search_at(queries[i], i));
   }
 }
 
-TEST_P(ServeParityT, BankedIndexTopKMatchesSearchK) {
+TEST_P(ServeParityT, BankedIndexTopKMatchesCore) {
   const auto [metric, fidelity] = GetParam();
   arch::BankedOptions opt;
   opt.bank_rows = 6;
@@ -170,26 +160,24 @@ TEST_P(ServeParityT, BankedIndexTopKMatchesSearchK) {
   const auto db = data::random_int_vectors(20, 8, 4, 29);
   const auto queries = data::random_int_vectors(6, 8, 4, 30);
 
-  arch::BankedAm legacy(opt);
-  legacy.configure(metric, 2);
-  legacy.store(db);
   BankedIndex index(opt);
   index.configure(metric, 2);
   index.store(db);
 
   for (const auto& q : queries) {
-    const auto winners = legacy.search_k(q, 7);
+    const auto core_hits = index.banked().search_k_hits(q, 7);
     const auto response = index.search(req(q, 7));
     ASSERT_EQ(response.hits.size(), 7u);
-    for (std::size_t i = 0; i < winners.size(); ++i) {
-      EXPECT_EQ(response.hits[i].global_row, winners[i]);
+    for (std::size_t i = 0; i < core_hits.size(); ++i) {
+      expect_hit_matches(response.hits[i], core_hits[i]);
       // The bank coordinate points at the bank that owns the row.
-      EXPECT_EQ(response.hits[i].bank, winners[i] / opt.bank_rows);
+      EXPECT_EQ(response.hits[i].bank,
+                response.hits[i].global_row / opt.bank_rows);
     }
   }
 }
 
-TEST_P(ServeParityT, BankedIndexBatchMatchesLegacyBatch) {
+TEST_P(ServeParityT, BankedIndexBatchMatchesCore) {
   const auto [metric, fidelity] = GetParam();
   arch::BankedOptions opt;
   opt.bank_rows = 9;
@@ -197,21 +185,18 @@ TEST_P(ServeParityT, BankedIndexBatchMatchesLegacyBatch) {
   const auto db = data::random_int_vectors(22, 8, 4, 31);
   const auto queries = data::random_int_vectors(8, 8, 4, 32);
 
-  arch::BankedAm legacy(opt);
-  legacy.configure(metric, 2);
-  legacy.store(db);
   BankedIndex index(opt);
   index.configure(metric, 2);
   index.store(db);
 
-  const auto legacy_results = legacy.search_batch(queries);
   std::vector<SearchRequest> requests;
   for (const auto& q : queries) requests.push_back(req(q));
   const auto responses = index.search_batch(requests);
-  ASSERT_EQ(responses.size(), legacy_results.size());
-  for (std::size_t i = 0; i < responses.size(); ++i) {
+  ASSERT_EQ(responses.size(), queries.size());
+  for (std::uint64_t i = 0; i < responses.size(); ++i) {
     ASSERT_EQ(responses[i].hits.size(), 1u);
-    expect_hit_matches(responses[i].best(), legacy_results[i]);
+    expect_hit_matches(responses[i].best(),
+                       index.banked().search_at(queries[i], i));
   }
 }
 
@@ -254,31 +239,25 @@ TEST(ServeT, ConstIndexServesOrdinalAddressedRequests) {
   EXPECT_EQ(index.query_serial(), 1u);
 }
 
-TEST(ServeT, LegacyEngineShimAndServeCoreInterleave) {
-  // The legacy entry points are shims over the same const cores, so an
-  // engine and an index driven with the same ordinal schedule agree even
-  // when calls interleave search and search_k.
+TEST(ServeT, FrontDoorAndEngineCoreInterleave) {
+  // The index and its engine core agree at every ordinal even when
+  // requests interleave k = 1 and k-NN searches: each request consumes
+  // the next ordinal whatever its k.
   core::FerexOptions opt;
   const auto db = data::random_int_vectors(16, 6, 4, 35);
   const auto queries = data::random_int_vectors(6, 6, 4, 36);
 
-  core::FerexEngine legacy(opt);
-  legacy.configure(DistanceMetric::kHamming, 2);
-  legacy.store(db);
   EngineIndex index(opt);
   index.configure(DistanceMetric::kHamming, 2);
   index.store(db);
 
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (i % 2 == 0) {
-      const auto r = legacy.search(queries[i]);
-      expect_hit_matches(index.search(req(queries[i])).best(), r);
-    } else {
-      const auto winners = legacy.search_k(queries[i], 4);
-      const auto response = index.search(req(queries[i], 4));
-      for (std::size_t j = 0; j < winners.size(); ++j) {
-        EXPECT_EQ(response.hits[j].global_row, winners[j]);
-      }
+  for (std::uint64_t i = 0; i < queries.size(); ++i) {
+    const std::size_t k = i % 2 == 0 ? 1 : 4;
+    const auto response = index.search(req(queries[i], k));
+    const auto core_hits = index.engine().search_hits_at(queries[i], k, i);
+    ASSERT_EQ(response.hits.size(), k);
+    for (std::size_t j = 0; j < k; ++j) {
+      expect_hit_matches(response.hits[j], core_hits[j]);
     }
   }
 }
@@ -329,7 +308,7 @@ TEST(ServeT, BankedMarginIsGapBetweenTwoBestBankWinners) {
   index.store(db);
 
   const auto response = index.search_at(req(q), 0);
-  // Reconstruct the per-bank winners through the legacy const core.
+  // Reconstruct the per-bank winners through the engine's search core.
   std::vector<double> winner_currents;
   for (std::size_t start = 0; start < db.size(); start += opt.bank_rows) {
     core::FerexOptions engine_opt = opt.engine;
@@ -339,7 +318,8 @@ TEST(ServeT, BankedMarginIsGapBetweenTwoBestBankWinners) {
     bank.configure(DistanceMetric::kHamming, 2);
     bank.store({db.begin() + start,
                 db.begin() + std::min(start + opt.bank_rows, db.size())});
-    winner_currents.push_back(bank.search_at(q, 0).winner_current_a);
+    winner_currents.push_back(
+        bank.search_hits_at(q, 1, 0).front().winner_current_a);
   }
   std::sort(winner_currents.begin(), winner_currents.end());
   EXPECT_EQ(response.best().sensed_current_a, winner_currents[0]);
@@ -389,15 +369,13 @@ TEST(ServeT, CompositeCodecServesThroughTheSameSurface) {
   const auto db = data::random_int_vectors(12, 5, 16, 43);
   const auto queries = data::random_int_vectors(5, 5, 16, 44);
 
-  core::FerexEngine legacy(opt);
-  legacy.configure_composite(DistanceMetric::kHamming, 4);
-  legacy.store(db);
   EngineIndex index(opt);
   index.configure_composite(DistanceMetric::kHamming, 4);
   index.store(db);
 
-  for (const auto& q : queries) {
-    expect_hit_matches(index.search(req(q)).best(), legacy.search(q));
+  for (std::uint64_t i = 0; i < queries.size(); ++i) {
+    expect_hit_matches(index.search(req(queries[i])).best(),
+                       index.engine().search_hits_at(queries[i], 1, i).front());
   }
 }
 

@@ -1,11 +1,8 @@
-// Unit tests for the write/erase path: program-and-verify cost model,
-// half-voltage write-inhibit integrity (Ni EDL'18 disturb scenario) and
-// WTA (best-match) sensing.
+// Unit tests for the write/erase path: program-and-verify cost model and
+// half-voltage write-inhibit integrity (Ni EDL'18 disturb scenario).
 #include <gtest/gtest.h>
 
-#include "circuit/lta.hpp"
 #include "circuit/write.hpp"
-#include "util/rng.hpp"
 
 namespace ferex::circuit {
 namespace {
@@ -59,36 +56,6 @@ TEST(WriteDriver, FullVoltageWouldDisturb) {
   const auto report = driver.disturb_after(100);
   EXPECT_GT(report.max_vth_drift_v, 0.0);
   EXPECT_FALSE(report.disturb_free);
-}
-
-// -------------------------------------------------------------- WTA ---
-
-TEST(WtaMode, DecideMaxPicksLargestCurrent) {
-  const LtaCircuit lta;
-  const std::vector<double> currents{3e-7, 9e-7, 2e-7};
-  const auto d = lta.decide_max(currents, 1e-7, nullptr);
-  EXPECT_EQ(d.winner, 1u);
-  EXPECT_DOUBLE_EQ(d.winner_current_a, 9e-7);
-}
-
-TEST(WtaMode, NoiseSymmetricWithLta) {
-  LtaParams params;
-  params.offset_sigma_rel = 0.4;
-  const LtaCircuit lta(params);
-  util::Rng rng(9);
-  int wrong = 0;
-  for (int i = 0; i < 2000; ++i) {
-    const std::vector<double> tight{1.0e-7, 1.1e-7};
-    if (lta.decide_max(tight, 1e-7, &rng).winner != 1) ++wrong;
-  }
-  // Same flip statistics as the LTA at the same margin (see LtaT test).
-  EXPECT_GT(wrong, 300);
-  EXPECT_LT(wrong, 1200);
-}
-
-TEST(WtaMode, RejectsEmpty) {
-  const LtaCircuit lta;
-  EXPECT_THROW(lta.decide_max({}, 1e-7, nullptr), std::invalid_argument);
 }
 
 }  // namespace
