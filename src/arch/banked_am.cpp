@@ -1,11 +1,9 @@
 #include "arch/banked_am.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 
-#include "util/merge_topk.hpp"
 #include "util/parallel.hpp"
 
 namespace ferex::arch {
@@ -278,8 +276,10 @@ BankedSearchResult BankedAm::search_at(
   // Banks whose rows are all removed stop firing: they run no search,
   // draw no comparator noise, and are masked out of the global stage.
   std::vector<std::uint8_t> bank_live(banks_.size());
+  std::size_t live_banks = 0;
   for (std::size_t b = 0; b < banks_.size(); ++b) {
     bank_live[b] = banks_[b]->live_count() > 0 ? 1 : 0;
+    live_banks += bank_live[b];
   }
   // Each engine keeps its own row heuristic (multi-bank engines have
   // row fan-out disabled, a single bank may still fan its rows).
@@ -296,25 +296,22 @@ BankedSearchResult BankedAm::search_at(
   } else {
     for (std::size_t b = 0; b < banks_.size(); ++b) run_bank(b);
   }
-  // Stage 2: the deterministic two-best merge over the bank winners
-  // (shared with serve::ShardedIndex, which applies the same rule across
-  // shards). A noiseless comparator over the already-sensed winners is
-  // bit-identical to the global LTA stage with no rng attached.
-  std::vector<util::GroupWinner> winners(banks_.size());
+  // Stage 2: the global LTA over the already-sensed bank winners, with
+  // no rng attached. It picks the smallest winner, ties to the lowest
+  // bank (banks are contiguous, so also the lowest row), and its margin
+  // is the gap to the best other bank winner. A sole live bank has no
+  // other winner to compare against, so its own margin passes through.
+  std::vector<double> winners(banks_.size());
   for (std::size_t b = 0; b < banks_.size(); ++b) {
-    winners[b].live = bank_live[b] != 0;
-    winners[b].sensed = winners[b].live
-                            ? bank_results[b].winner_current_a
-                            : std::numeric_limits<double>::infinity();
-    winners[b].margin_a = bank_results[b].margin_a;
+    winners[b] = bank_results[b].winner_current_a;
   }
-  const auto decision = util::merge_topk(winners);
-  const auto& winner = bank_results[decision.group];
+  const auto decision = global_lta_.decide(winners, 1.0, nullptr, bank_live);
+  const auto& winner = bank_results[decision.winner];
   BankedSearchResult out;
-  out.bank = decision.group;
-  out.nearest = global_index(decision.group, winner.nearest);
-  out.winner_current_a = decision.sensed;
-  out.margin_a = decision.margin_a;
+  out.bank = decision.winner;
+  out.nearest = global_index(decision.winner, winner.nearest);
+  out.winner_current_a = decision.winner_current_a;
+  out.margin_a = live_banks > 1 ? decision.margin_a : winner.margin_a;
   out.nominal_distance = winner.nominal_distance;
   return out;
 }

@@ -18,18 +18,19 @@
 // queues, coalescing, and dispatcher interleaving never change a
 // result. Writes consume no search ordinals.
 //
-// Routing shadow: the fleet validates and routes writes against its own
-// shadow of the routing state (per-shard stored/live counts, the freed
-// global-row set) under the submit mutex. The shadow is exact, not a
-// heuristic: the fleet owns both front doors (the ShardedIndex and
-// every shard are async-claimed, so no other mutator exists), every
-// accepted write is fully validated at submission (slot range,
-// liveness, vector length, alphabet — a difference from AsyncAmIndex,
-// which defers state-dependent checks: here the shadow IS the state the
-// op will see, because each shard's queue applies its sub-ops in
-// submission order), and therefore every accepted write succeeds and
-// advances the shadow exactly as it advances the shard. Rejected
-// submissions (Overloaded / ShutDown / validation) consume nothing.
+// Routing state: the fleet's own. ShardedIndex keeps the physical row
+// count, live rows per shard, the stored vector length and the freed-row
+// set as fields, and every submission checks and advances them through
+// the same private helpers the synchronous write cores use, under the
+// fleet submit mutex. The fields stay exact during the session: the
+// fleet owns both front doors (the ShardedIndex and every shard are
+// async-claimed, so no other mutator exists), every accepted write is
+// fully validated at submission (slot range, liveness, vector length,
+// alphabet — a difference from AsyncAmIndex, which defers
+// state-dependent checks), and each shard's queue applies its sub-ops in
+// submission order, so every accepted write succeeds and leaves the
+// shard where the fields already say it is. Rejected submissions
+// (Overloaded / ShutDown / validation) consume nothing.
 //
 // Completion handles: submit() returns a Ticket whose get() gathers the
 // per-shard futures on the calling thread and k-way merges them through
@@ -50,7 +51,6 @@
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <set>
 #include <span>
 #include <utility>
 #include <vector>
@@ -77,16 +77,11 @@ class AsyncShardedIndex {
 
    private:
     friend class AsyncShardedIndex;
-    static constexpr std::size_t kAllShards = static_cast<std::size_t>(-1);
-    Ticket(const AsyncShardedIndex* owner, std::size_t k, std::size_t shards,
-           std::size_t single_shard)
-        : owner_(owner), k_(k), shards_(shards), single_shard_(single_shard) {}
+    Ticket(const ShardedIndex& fleet, std::size_t k)
+        : fleet_(&fleet), k_(k) {}
 
-    const AsyncShardedIndex* owner_;
+    const ShardedIndex* fleet_;
     std::size_t k_;
-    std::size_t shards_;
-    /// kAllShards for scatter-gather; a shard index for submit_shard.
-    std::size_t single_shard_;
     std::vector<std::pair<std::size_t, std::future<SearchResponse>>> parts_;
   };
 
@@ -114,8 +109,8 @@ class AsyncShardedIndex {
     std::future<WriteReceipt> future_;
   };
 
-  /// Claims the fleet and every shard, snapshots the routing shadow
-  /// from the quiescent ShardedIndex, and opens one AsyncAmIndex per
+  /// Claims the fleet and every shard, seeds the ordinal stream from the
+  /// quiescent ShardedIndex, and opens one AsyncAmIndex per
   /// shard with `base` options (each shard gets its own queue,
   /// dispatchers, and coalescing). `shard_wals`, when non-empty, must
   /// hold one Wal per shard (nullptr entries allowed); each shard
@@ -129,11 +124,10 @@ class AsyncShardedIndex {
   AsyncShardedIndex(const AsyncShardedIndex&) = delete;
   AsyncShardedIndex& operator=(const AsyncShardedIndex&) = delete;
 
-  /// Scatter-gather search: validates against the shadow (typed
-  /// EmptyIndex when no shard has live rows; k bounded by the fleet's
-  /// live count; query length against the fleet dims — per-shard
-  /// backend checks run in the shard sessions), takes one fleet
-  /// ordinal, and submits one pinned sub-request per live shard.
+  /// Scatter-gather search: validates exactly as the synchronous fleet
+  /// does (typed EmptyIndex when no shard has live rows; k bounded by
+  /// the fleet's live count; query length and alphabet), takes one
+  /// fleet ordinal, and submits one pinned sub-request per live shard.
   /// Overloaded from any shard queue rejects the whole search with the
   /// serial unmoved (already-queued sibling sub-searches are const
   /// pinned-ordinal reads whose results are dropped — harmless).
@@ -141,7 +135,7 @@ class AsyncShardedIndex {
 
   /// Serves against a single shard only: consumes one fleet ordinal
   /// (the same stream scatter-gather uses), validates against that
-  /// shard's shadow, and never touches any other shard's queue — a
+  /// shard's live rows, and never touches any other shard's queue — a
   /// write stalling shard A leaves this path on shard B unaffected.
   Ticket submit_shard(std::size_t shard, const SearchRequest& request);
 
@@ -152,7 +146,7 @@ class AsyncShardedIndex {
   PendingWrite submit_insert(std::vector<int> vector);
 
   /// Routed deletion (out_of_range on a bad global row, logic_error on
-  /// a double remove — at submission, where the shadow is exact).
+  /// a double remove — at submission, where the fleet's state is exact).
   PendingWrite submit_remove(std::size_t global_row);
 
   /// Routed in-place overwrite; revives a freed slot.
@@ -176,36 +170,17 @@ class AsyncShardedIndex {
   std::size_t shard_count() const noexcept { return sessions_.size(); }
 
  private:
-  /// The gather half, shared with Ticket: dead/unqueried shards hold
-  /// empty parts. Routes through ShardedIndex's own merge core so async
-  /// results are structurally bit-identical to the sync path.
-  static SearchResponse merge_parts(const ShardedIndex& sharded,
-                                    std::span<const SearchResponse> parts,
-                                    std::size_t k, std::size_t single_shard);
-
-  std::size_t shadow_live_total() const REQUIRES(submit_mutex_);
   void check_open() const REQUIRES(submit_mutex_);
-  void validate_vector(std::span<const int> vector) const
-      REQUIRES(submit_mutex_);
 
   ShardedIndex& sharded_;
   std::vector<std::unique_ptr<AsyncAmIndex>> sessions_;
 
-  /// Guards the fleet ordinal stream and the routing shadow; makes
-  /// admission + ordinal assignment + shadow advance atomic.
+  /// Guards the fleet ordinal stream and the fleet's routing state while
+  /// the session owns it; makes admission + ordinal assignment + the
+  /// routing advance atomic.
   mutable util::Mutex submit_mutex_;
   std::uint64_t serial_ GUARDED_BY(submit_mutex_) = 0;
   bool shutdown_ GUARDED_BY(submit_mutex_) = false;
-  /// Routing shadow (see the file comment): exact per-shard state as of
-  /// every accepted write.
-  std::vector<std::size_t> shadow_live_ GUARDED_BY(submit_mutex_);
-  std::size_t shadow_total_ GUARDED_BY(submit_mutex_) = 0;
-  std::set<std::size_t> shadow_free_ GUARDED_BY(submit_mutex_);
-  std::size_t shadow_dims_ GUARDED_BY(submit_mutex_) = 0;
-  /// Logical alphabet of the fleet's configured encoding (0 when the
-  /// fleet is unconfigured — inserts are then rejected outright).
-  std::size_t alphabet_ GUARDED_BY(submit_mutex_) = 0;
-  bool configured_ GUARDED_BY(submit_mutex_) = false;
 };
 
 }  // namespace ferex::serve

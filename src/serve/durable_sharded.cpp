@@ -3,6 +3,7 @@
 #include <cstring>
 #include <utility>
 
+#include "encode/serialize.hpp"
 #include "serve/snapshot.hpp"
 #include "util/durable_file.hpp"
 #include "util/failpoint.hpp"
@@ -23,67 +24,47 @@ struct ShardManifest {
   std::vector<std::uint64_t> shard_rows;
 };
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back((v >> (8 * i)) & 0xff);
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back((v >> (8 * i)) & 0xff);
-}
-
-std::uint32_t get_u32(const std::vector<std::uint8_t>& in, std::size_t& at) {
-  if (in.size() - at < 4) throw SnapshotMismatch("manifest truncated");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t(in[at++]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::vector<std::uint8_t>& in, std::size_t& at) {
-  if (in.size() - at < 8) throw SnapshotMismatch("manifest truncated");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t(in[at++]) << (8 * i);
-  return v;
-}
-
 std::vector<std::uint8_t> encode_manifest(const ShardManifest& manifest) {
-  std::vector<std::uint8_t> out;
-  out.reserve(sizeof kManifestMagic + 37 + 8 * manifest.shard_rows.size());
-  for (const char c : kManifestMagic) {
-    out.push_back(static_cast<std::uint8_t>(c));
-  }
-  put_u32(out, kManifestVersion);
-  put_u64(out, manifest.shards);
-  put_u64(out, manifest.shard_block);
-  out.push_back(manifest.backend);
-  put_u64(out, manifest.bank_rows);
-  put_u64(out, manifest.query_serial);
-  for (const std::uint64_t rows : manifest.shard_rows) put_u64(out, rows);
-  return out;
+  encode::ByteWriter out;
+  out.bytes(reinterpret_cast<const std::uint8_t*>(kManifestMagic),
+            sizeof kManifestMagic);
+  out.u32(kManifestVersion);
+  out.u64(manifest.shards);
+  out.u64(manifest.shard_block);
+  out.u8(manifest.backend);
+  out.u64(manifest.bank_rows);
+  out.u64(manifest.query_serial);
+  for (const std::uint64_t rows : manifest.shard_rows) out.u64(rows);
+  return out.take();
 }
 
 ShardManifest decode_manifest(const std::vector<std::uint8_t>& bytes) {
-  std::size_t at = 0;
-  if (bytes.size() < sizeof kManifestMagic ||
-      std::memcmp(bytes.data(), kManifestMagic, sizeof kManifestMagic) != 0) {
+  encode::ByteReader in(bytes);
+  const auto magic = in.bytes(sizeof kManifestMagic);
+  if (std::memcmp(magic.data(), kManifestMagic, sizeof kManifestMagic) != 0) {
     throw SnapshotMismatch("manifest magic");
   }
-  at = sizeof kManifestMagic;
-  const std::uint32_t version = get_u32(bytes, at);
+  const std::uint32_t version = in.u32();
   if (version != kManifestVersion) {
     throw SnapshotMismatch("manifest version " + std::to_string(version));
   }
   ShardManifest manifest;
-  manifest.shards = get_u64(bytes, at);
-  manifest.shard_block = get_u64(bytes, at);
-  if (bytes.size() - at < 1) throw SnapshotMismatch("manifest truncated");
-  manifest.backend = bytes[at++];
-  manifest.bank_rows = get_u64(bytes, at);
-  manifest.query_serial = get_u64(bytes, at);
+  manifest.shards = in.u64();
+  manifest.shard_block = in.u64();
+  manifest.backend = in.u8();
+  manifest.bank_rows = in.u64();
+  manifest.query_serial = in.u64();
+  // One u64 per shard must remain before anything is reserved for them:
+  // a damaged shard count must not become a huge allocation.
+  if (in.remaining() % 8 != 0 || manifest.shards != in.remaining() / 8) {
+    throw encode::CorruptSnapshot(in.offset(),
+                                  "manifest shard count does not match its "
+                                  "per-shard rows");
+  }
   manifest.shard_rows.reserve(manifest.shards);
   for (std::uint64_t s = 0; s < manifest.shards; ++s) {
-    manifest.shard_rows.push_back(get_u64(bytes, at));
+    manifest.shard_rows.push_back(in.u64());
   }
-  if (at != bytes.size()) throw SnapshotMismatch("manifest trailing bytes");
   return manifest;
 }
 
@@ -187,7 +168,7 @@ void DurableShardedIndex::configure(csp::DistanceMetric metric, int bits) {
 
 void DurableShardedIndex::store(const std::vector<std::vector<int>>& database) {
   assert_sync_ownership();
-  // Apply first: the fleet validates every slice before touching any
+  // Apply first: the fleet validates every row before touching any
   // shard, so a rejected store journals nothing anywhere.
   fleet_.store(database);
   std::vector<std::vector<std::vector<int>>> slices(fleet_.shard_count());
@@ -195,12 +176,19 @@ void DurableShardedIndex::store(const std::vector<std::vector<int>>& database) {
     slices[fleet_.shard_of(g)].push_back(database[g]);
   }
   for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (slices[s].empty()) {
+      // store() left this shard fresh, and no WAL record can empty a
+      // shard (configure keeps rows): the checkpoint's snapshot records
+      // it instead, as DurableIndex::compact does.
+      shards_[s]->checkpoint();
+      continue;
+    }
     // Journal the realized per-shard image: the reset that store()
     // performed (configure) plus the shard's slice. Replaying a shard
     // log reproduces exactly what the live shard now holds.
     shards_[s]->wal().append_configure(fleet_.metric(), fleet_.bits(),
                                        /*composite=*/false);
-    if (!slices[s].empty()) shards_[s]->wal().append_store(slices[s]);
+    shards_[s]->wal().append_store(slices[s]);
   }
   write_manifest();
 }

@@ -11,9 +11,13 @@
 // always either the previous complete manifest or the new one — records
 // the routing topology (shard count, shard_block, backend, bank rows),
 // the per-shard row counts at manifest time, and the fleet query
-// serial. Construction recovers: the manifest's topology is checked
-// against the fleet's options (SnapshotMismatch names the first field
-// that disagrees), each shard replays its own snapshot + WAL through
+// serial. The counts are informational: single-row writes leave them
+// stale by design, so recovery never compares them (the dense-image
+// check below catches a shard whose count disagrees). Construction
+// recovers: a damaged manifest is a typed CorruptSnapshot or
+// SnapshotMismatch, the manifest's topology is checked against the
+// fleet's options (SnapshotMismatch names the first field that
+// disagrees), each shard replays its own snapshot + WAL through
 // DurableIndex, routing is rebuilt from the recovered shards, and the
 // reassembled fleet must be a dense routing image — every shard's
 // stored count equal to rows_for_shard(s, total) — or SnapshotMismatch
@@ -36,6 +40,10 @@
 // async path keeps journal-before-apply (AsyncAmIndex appends at epoch
 // assignment): hand shard_wals() to AsyncShardedIndex, whose submit-
 // time full validation guarantees accepted sub-ops never fail.
+//
+// store() journals configure + store per shard, except for a shard it
+// leaves empty: no WAL record can empty a shard, so that shard is
+// checkpointed instead, as DurableIndex::compact does.
 //
 // One fleet-wide caveat: store() and configure() touch every shard's
 // log, and a crash partway through the fan-out leaves some shard logs

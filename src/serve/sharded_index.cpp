@@ -7,7 +7,6 @@
 
 #include "serve/banked_index.hpp"
 #include "serve/engine_index.hpp"
-#include "util/merge_topk.hpp"
 #include "util/parallel.hpp"
 
 namespace ferex::serve {
@@ -46,6 +45,21 @@ std::vector<std::uint8_t> shard_live_mask(const AmIndex& shard) {
   return mask;
 }
 
+/// Returns a shard to its fresh configured state in place: with every
+/// live row removed, an engine or banked array compacts to exactly a
+/// fresh one (configure() alone keeps rows).
+void empty_shard(AmIndex& shard) {
+  const auto mask = shard_live_mask(shard);
+  for (std::size_t local = 0; local < mask.size(); ++local) {
+    if (mask[local] != 0) shard.remove(local);
+  }
+  if (auto* engine = dynamic_cast<EngineIndex*>(&shard)) {
+    engine->engine().compact();
+  } else {
+    dynamic_cast<BankedIndex&>(shard).banked().compact();
+  }
+}
+
 }  // namespace
 
 ShardedIndex::ShardedIndex(ShardedOptions options) : options_(options) {
@@ -59,6 +73,7 @@ ShardedIndex::ShardedIndex(ShardedOptions options) : options_(options) {
   for (std::size_t s = 0; s < options_.shards; ++s) {
     shards_.push_back(make_shard(s));
   }
+  shard_live_.assign(options_.shards, 0);
 }
 
 std::unique_ptr<AmIndex> ShardedIndex::make_shard(std::size_t shard) const {
@@ -91,25 +106,6 @@ std::pair<std::size_t, std::size_t> ShardedIndex::next_insert_target() const {
   return {shard_of(global), global};
 }
 
-std::size_t ShardedIndex::stored_count() const noexcept {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->stored_count();
-  return total;
-}
-
-std::size_t ShardedIndex::live_count() const noexcept {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->live_count();
-  return total;
-}
-
-std::size_t ShardedIndex::dims() const noexcept {
-  for (const auto& shard : shards_) {
-    if (shard->stored_count() > 0) return shard->dims();
-  }
-  return 0;
-}
-
 void ShardedIndex::do_configure(csp::DistanceMetric metric, int bits) {
   metric_ = metric;
   bits_ = bits;
@@ -121,6 +117,14 @@ void ShardedIndex::do_store(const std::vector<std::vector<int>>& database) {
   if (!configured_) {
     throw std::logic_error("ShardedIndex: store before configure");
   }
+  if (database.empty()) {
+    throw std::invalid_argument("ShardedIndex::store: empty database");
+  }
+  // Every row is checked against the fleet's length and alphabet before
+  // any shard is touched, so a bad row leaves the served fleet as it
+  // was. The shards are then restored in place: per-shard WAL handles
+  // and async sessions hold references to the shard objects.
+  for (const auto& row : database) check_vector(row, database.front().size());
   std::vector<std::vector<std::vector<int>>> slices(options_.shards);
   for (std::size_t s = 0; s < options_.shards; ++s) {
     slices[s].reserve(rows_for_shard(s, database.size()));
@@ -128,84 +132,155 @@ void ShardedIndex::do_store(const std::vector<std::vector<int>>& database) {
   for (std::size_t g = 0; g < database.size(); ++g) {
     slices[shard_of(g)].push_back(database[g]);
   }
-  // Validate every slice against one scratch shard first (same geometry
-  // as every real shard — only the seed differs), so a bad row leaves
-  // the served fleet untouched; then restore the real shards in place.
-  // In place matters: per-shard WAL handles and async sessions hold
-  // references to the shard objects, so store must never swap them out.
-  auto probe = make_shard(0);
-  for (std::size_t s = 0; s < options_.shards; ++s) {
-    if (slices[s].empty()) continue;
-    probe->configure(metric_, bits_);
-    probe->store(slices[s]);
-  }
   for (std::size_t s = 0; s < options_.shards; ++s) {
     shards_[s]->configure(metric_, bits_);
     // A shard with no rows stays configured-but-unstored: it never
     // fires, draws no noise, and accepts the fleet's first overflow
     // insert later.
-    if (!slices[s].empty()) shards_[s]->store(slices[s]);
+    if (!slices[s].empty()) {
+      shards_[s]->store(slices[s]);
+    } else if (shards_[s]->stored_count() > 0) {
+      empty_shard(*shards_[s]);
+    }
+    shard_live_[s] = slices[s].size();
   }
+  stored_ = database.size();
+  dims_ = database.front().size();
   free_rows_.clear();
 }
 
-WriteReceipt ShardedIndex::do_insert(std::span<const int> vector) {
+void ShardedIndex::check_vector(std::span<const int> vector,
+                                std::size_t dims) const {
+  // A fresh (never-stored) shard would accept any length, establishing
+  // a shard-local dims that disagrees with the rest of the fleet; the
+  // shards' own alphabet checks could only run where the row lands.
+  if (vector.empty() || (dims != 0 && vector.size() != dims)) {
+    throw std::invalid_argument(
+        "ShardedIndex: vector length != stored dimensionality");
+  }
+  const std::size_t alphabet = std::size_t{1} << bits_;
+  for (const int v : vector) {
+    if (v < 0 || static_cast<std::size_t>(v) >= alphabet) {
+      throw std::out_of_range("ShardedIndex: value outside the alphabet");
+    }
+  }
+}
+
+void ShardedIndex::check_row(std::size_t global_row) const {
+  if (!configured_) {
+    throw std::logic_error("ShardedIndex: write before configure");
+  }
+  if (global_row >= stored_) {
+    throw std::out_of_range("ShardedIndex: row past the fleet's end");
+  }
+}
+
+std::size_t ShardedIndex::check_insert(std::span<const int> vector) const {
   if (!configured_) {
     throw std::logic_error("ShardedIndex: insert before configure");
   }
-  // Dimensional check at the fleet level: a fresh (never-stored) shard
-  // would accept any length, establishing a shard-local dims that
-  // disagrees with the rest of the fleet.
-  const std::size_t fleet_dims = dims();
-  if (fleet_dims != 0 && vector.size() != fleet_dims) {
-    throw std::invalid_argument(
-        "ShardedIndex::insert: vector length != stored dimensionality");
+  check_vector(vector, dims_);
+  return next_insert_target().second;
+}
+
+void ShardedIndex::check_remove(std::size_t global_row) const {
+  check_row(global_row);
+  if (free_rows_.count(global_row) != 0) {
+    throw std::logic_error("ShardedIndex: row already removed");
   }
-  const auto [shard, global] = next_insert_target();
-  WriteReceipt receipt = shards_[shard]->insert(vector);
-  free_rows_.erase(global);
+}
+
+void ShardedIndex::check_update(std::size_t global_row,
+                                std::span<const int> vector) const {
+  check_row(global_row);
+  check_vector(vector, dims_);
+}
+
+void ShardedIndex::record_live(std::size_t global_row, std::size_t length) {
+  if (global_row == stored_) {
+    ++stored_;
+    dims_ = length;  // check_vector already pinned it once rows exist
+  } else if (free_rows_.erase(global_row) == 0) {
+    return;  // a live row overwritten in place
+  }
+  ++shard_live_[shard_of(global_row)];
+}
+
+void ShardedIndex::record_removed(std::size_t global_row) {
+  free_rows_.insert(global_row);
+  --shard_live_[shard_of(global_row)];
+}
+
+WriteReceipt ShardedIndex::do_insert(std::span<const int> vector) {
+  // The target shard's own insert() reuses its lowest freed local slot
+  // or appends, which is exactly to_local(global) — see
+  // next_insert_target.
+  const std::size_t global = check_insert(vector);
+  WriteReceipt receipt = shards_[shard_of(global)]->insert(vector);
+  record_live(global, vector.size());
   receipt.global_row = global;
-  receipt.bank = shard;
+  receipt.bank = shard_of(global);
   return receipt;
 }
 
 WriteReceipt ShardedIndex::do_remove(std::size_t global_row) {
-  const std::size_t shard = shard_of(global_row);
-  // The shard rejects an out-of-range or already-removed local row with
-  // the same typed errors the unsharded backends use; the freed set
-  // only learns about rows that really were erased.
-  WriteReceipt receipt = shards_[shard]->remove(to_local(global_row));
-  free_rows_.insert(global_row);
+  check_remove(global_row);
+  WriteReceipt receipt =
+      shards_[shard_of(global_row)]->remove(to_local(global_row));
+  record_removed(global_row);
   receipt.global_row = global_row;
-  receipt.bank = shard;
+  receipt.bank = shard_of(global_row);
   return receipt;
 }
 
 WriteReceipt ShardedIndex::do_update(std::size_t global_row,
                                      std::span<const int> vector) {
-  const std::size_t shard = shard_of(global_row);
-  WriteReceipt receipt = shards_[shard]->update(to_local(global_row), vector);
-  // An update revives a removed slot; a live slot is a no-op here.
-  free_rows_.erase(global_row);
+  check_update(global_row, vector);
+  WriteReceipt receipt =
+      shards_[shard_of(global_row)]->update(to_local(global_row), vector);
+  record_live(global_row, vector.size());
   receipt.global_row = global_row;
-  receipt.bank = shard;
+  receipt.bank = shard_of(global_row);
   return receipt;
 }
 
 void ShardedIndex::validate_backend_query(std::span<const int> query) const {
-  // Every shard enforces the same configured encoding, so the first
-  // stored shard speaks for the fleet. (With nothing stored anywhere,
-  // live_count() == 0 already rejected the request upstream with the
-  // typed EmptyIndex.)
-  for (const auto& shard : shards_) {
-    if (shard->stored_count() == 0) continue;
-    if (const auto* engine = dynamic_cast<const EngineIndex*>(shard.get())) {
-      engine->engine().validate_query(query);
-    } else {
-      dynamic_cast<const BankedIndex&>(*shard).banked().validate_query(query);
-    }
-    return;
+  // Reached only with live rows (validate_request rejects an empty fleet
+  // with the typed EmptyIndex first), so dims_ is set.
+  check_vector(query, dims_);
+}
+
+void ShardedIndex::validate_shard_request(std::size_t shard,
+                                          const SearchRequest& request) const {
+  if (shard >= shards_.size()) {
+    throw std::out_of_range("ShardedIndex: no such shard");
   }
+  if (shard_live_[shard] == 0) {
+    throw EmptyIndex("ShardedIndex: shard has no live rows");
+  }
+  if (request.k == 0 || request.k > shard_live_[shard]) {
+    throw std::invalid_argument("ShardedIndex: request.k out of range");
+  }
+  validate_backend_query(request.query);
+}
+
+std::size_t ShardedIndex::live_shard_count() const noexcept {
+  std::size_t live_shards = 0;
+  for (const std::size_t live : shard_live_) live_shards += live > 0 ? 1 : 0;
+  return live_shards;
+}
+
+std::size_t ShardedIndex::shard_k(std::size_t shard,
+                                  std::size_t k) const noexcept {
+  const std::size_t live = shard_live_[shard];
+  if (live == 0) return 0;
+  // Overfetch one extra hit per shard so the merge always has a live
+  // losing candidate for the margin — unless the whole fleet is
+  // exhausted (k == total live), where the margin is +inf exactly as the
+  // unsharded final round reports. At k == 1 the margin is taken against
+  // the other shards' winners, so no shard overfetches.
+  if (k == 1 || live_shard_count() == 1) return k;
+  return std::min(k + 1, live);
 }
 
 bool ShardedIndex::inner_fan_for_batch(std::size_t batch_size) const {
@@ -213,64 +288,22 @@ bool ShardedIndex::inner_fan_for_batch(std::size_t batch_size) const {
   // batch over a multi-shard fleet serves requests serially so each one
   // fans its shards instead (bit-identical either way).
   if (batch_size == 0 || batch_size >= util::pool_width()) return false;
-  std::size_t live_shards = 0;
-  for (const auto& shard : shards_) {
-    live_shards += shard->live_count() > 0 ? 1 : 0;
-  }
+  const std::size_t live_shards = live_shard_count();
   return live_shards > 1 && live_shards >= batch_size;
 }
 
-double ShardedIndex::merge_key(const Hit& hit) const noexcept {
-  // The merge orders on what the fidelity actually sensed: currents at
-  // circuit fidelity, exact distances at nominal (where the sensed
-  // current IS the distance, so the two keys agree bit for bit).
-  return options_.engine.fidelity == core::SearchFidelity::kNominal
-             ? static_cast<double>(hit.nominal_distance)
-             : hit.sensed_current_a;
-}
-
-std::vector<SearchResponse> ShardedIndex::scatter(std::span<const int> query,
-                                                  std::size_t k,
-                                                  std::uint64_t ordinal,
-                                                  bool in_query_pool) const {
-  std::vector<SearchResponse> parts(shards_.size());
-  std::size_t live_shards = 0;
-  for (const auto& shard : shards_) {
-    live_shards += shard->live_count() > 0 ? 1 : 0;
+SearchResponse ShardedIndex::from_shard(std::size_t shard,
+                                        SearchResponse response) const {
+  for (auto& hit : response.hits) {
+    hit.global_row = to_global(shard, hit.global_row);
+    hit.bank = shard;
   }
-  const auto run_shard = [&](std::size_t s) {
-    const std::size_t live = shards_[s]->live_count();
-    // A fully deleted shard stops firing: no search, no noise draws —
-    // its comparator streams are exactly those of a fleet that never
-    // included it.
-    if (live == 0) return;
-    SearchRequest sub;
-    sub.query.assign(query.begin(), query.end());
-    // Overfetch one extra hit per shard so the merge always has a live
-    // losing candidate for margin reconstruction — unless the whole
-    // fleet is exhausted (k == total live), where the margin is +inf
-    // exactly as the unsharded final round reports (round winners stay
-    // live at masked +inf current, so its `second` is +inf). A sole
-    // live shard needs no overfetch: its response passes through
-    // wholesale.
-    sub.k = (k == 1 || live_shards == 1) ? k : std::min(k + 1, live);
-    parts[s] = shards_[s]->search_at(sub, ordinal);
-  };
-  if (!in_query_pool && live_shards > 1 && util::pool_width() > 1) {
-    // Affine schedule: shard s lands on the same pool participant on
-    // every query, keeping its cached bias/current tables warm in one
-    // thread's caches across a serving stream.
-    util::parallel_for_affine(shards_.size(), run_shard);
-  } else {
-    for (std::size_t s = 0; s < shards_.size(); ++s) run_shard(s);
-  }
-  return parts;
+  return response;
 }
 
 SearchResponse ShardedIndex::merge_shard_responses(
     std::span<const SearchResponse> parts, std::size_t k) const {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  SearchResponse out;
   // A sole live shard (a 1-shard fleet, or every other shard fully
   // deleted) passes through wholesale: its hit sequence and margins ARE
   // the fleet's, so the fleet is bit-identical to that shard served
@@ -282,38 +315,13 @@ SearchResponse ShardedIndex::merge_shard_responses(
     ++live_parts;
     sole = s;
   }
-  if (live_parts == 1) {
-    out = parts[sole];
-    for (auto& hit : out.hits) {
-      hit.global_row = to_global(sole, hit.global_row);
-      hit.bank = sole;
-    }
-    return out;
-  }
-  if (k == 1) {
-    // Single-winner gather: the shared two-best merge (the same rule
-    // BankedAm applies across banks) picks the winner and reconstructs
-    // its margin against the best losing shard winner.
-    std::vector<util::GroupWinner> winners(parts.size());
-    for (std::size_t s = 0; s < parts.size(); ++s) {
-      if (parts[s].hits.empty()) continue;  // dead shard
-      winners[s].live = true;
-      winners[s].sensed = merge_key(parts[s].hits.front());
-      winners[s].margin_a = parts[s].hits.front().margin_a;
-    }
-    const auto merged = util::merge_topk(winners);
-    Hit hit = parts[merged.group].hits.front();
-    hit.global_row = to_global(merged.group, hit.global_row);
-    hit.bank = merged.group;
-    hit.margin_a = merged.margin_a;
-    out.hits.push_back(hit);
-    return out;
-  }
+  if (live_parts == 1) return from_shard(sole, parts[sole]);
   // k-way head merge over the per-shard rank orders: take the smallest
   // head (ties to the lowest global row, matching the deterministic
   // LTA sweep's lowest-index rule through the monotone local->global
   // map), then report its margin as the gap to the best remaining head.
   std::vector<std::size_t> heads(parts.size(), 0);
+  SearchResponse out;
   out.hits.reserve(k);
   for (std::size_t taken = 0; taken < k; ++taken) {
     std::size_t best_shard = parts.size();
@@ -322,7 +330,7 @@ SearchResponse ShardedIndex::merge_shard_responses(
     for (std::size_t s = 0; s < parts.size(); ++s) {
       if (heads[s] >= parts[s].hits.size()) continue;
       const Hit& head = parts[s].hits[heads[s]];
-      const double key = merge_key(head);
+      const double key = head.sensed_current_a;
       const std::size_t row = to_global(s, head.global_row);
       if (best_shard == parts.size() || key < best_key ||
           (key == best_key && row < best_row)) {
@@ -341,24 +349,19 @@ SearchResponse ShardedIndex::merge_shard_responses(
     hit.global_row = best_row;
     hit.bank = best_shard;
     double next_key = kInf;
-    bool have_next = false;
     for (std::size_t s = 0; s < parts.size(); ++s) {
       if (heads[s] >= parts[s].hits.size()) continue;
-      const double key = merge_key(parts[s].hits[heads[s]]);
-      if (!have_next || key < next_key) {
-        next_key = key;
-        have_next = true;
-      }
+      next_key = std::min(next_key, parts[s].hits[heads[s]].sensed_current_a);
     }
-    // Exhausted fleet (k == total live): margin +inf, exactly the flat
-    // comparator's final round (decide_k_detailed masks each round
-    // winner to +inf current but keeps it live and competing, so its
-    // `second` is +inf — and so is a sole live shard's own final-round
-    // margin, which the passthrough inherits). The heads always cover
-    // the true global runner-up otherwise (every shard overfetched one),
-    // so these gaps equal the flat index's round margins bit for bit at
-    // nominal fidelity.
-    hit.margin_a = have_next ? next_key - best_key : kInf;
+    // Exhausted fleet (k == total live): no head is left and the margin
+    // is +inf, exactly the flat comparator's final round (decide_k_detailed
+    // masks each round winner to +inf current but keeps it live and
+    // competing, so its `second` is +inf — and so is a sole live shard's
+    // own final-round margin, which the passthrough inherits). The heads
+    // always cover the true global runner-up otherwise (every shard
+    // overfetched one), so these gaps equal the flat index's round
+    // margins bit for bit at nominal fidelity.
+    hit.margin_a = next_key - best_key;
     out.hits.push_back(hit);
   }
   return out;
@@ -367,28 +370,40 @@ SearchResponse ShardedIndex::merge_shard_responses(
 SearchResponse ShardedIndex::search_core(std::span<const int> query,
                                          std::size_t k, std::uint64_t ordinal,
                                          bool in_query_pool) const {
-  const auto parts = scatter(query, k, ordinal, in_query_pool);
+  // The scatter half: one sub-response per shard (dead shards left
+  // empty), each fetched at `ordinal` with the shard's own k.
+  std::vector<SearchResponse> parts(shards_.size());
+  const auto run_shard = [&](std::size_t s) {
+    // A fully deleted shard stops firing: no search, no noise draws —
+    // its comparator streams are exactly those of a fleet that never
+    // included it.
+    const std::size_t sub_k = shard_k(s, k);
+    if (sub_k == 0) return;
+    parts[s] = shards_[s]->search_at(
+        SearchRequest(std::vector<int>(query.begin(), query.end()), sub_k),
+        ordinal);
+  };
+  if (!in_query_pool && live_shard_count() > 1 && util::pool_width() > 1) {
+    // Affine schedule: shard s lands on the same pool participant on
+    // every query, keeping its cached bias/current tables warm in one
+    // thread's caches across a serving stream.
+    util::parallel_for_affine(shards_.size(), run_shard);
+  } else {
+    for (std::size_t s = 0; s < shards_.size(); ++s) run_shard(s);
+  }
   return merge_shard_responses(parts, k);
 }
 
 SearchResponse ShardedIndex::search_shard(std::size_t shard,
                                           const SearchRequest& request) {
   check_mutable("search_shard");
-  if (shard >= shards_.size()) {
-    throw std::out_of_range("ShardedIndex::search_shard: shard");
-  }
-  // Validate against the target shard before consuming a fleet ordinal,
-  // so a rejected request leaves the noise-stream sequence untouched.
-  shards_[shard]->validate_request(request);
+  // Validate before consuming a fleet ordinal, so a rejected request
+  // leaves the noise-stream sequence untouched.
+  validate_shard_request(shard, request);
   const std::uint64_t ordinal =
       request.ordinal ? *request.ordinal : query_serial();
   if (!request.ordinal) set_query_serial(ordinal + 1);
-  SearchResponse response = shards_[shard]->search_at(request, ordinal);
-  for (auto& hit : response.hits) {
-    hit.global_row = to_global(shard, hit.global_row);
-    hit.bank = shard;
-  }
-  return response;
+  return from_shard(shard, shards_[shard]->search_at(request, ordinal));
 }
 
 void ShardedIndex::rebuild_routing() {
@@ -412,9 +427,15 @@ void ShardedIndex::rebuild_routing() {
       break;
     }
   }
+  stored_ = 0;
+  dims_ = 0;
   free_rows_.clear();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const auto mask = shard_live_mask(*shards_[s]);
+    const AmIndex& shard = *shards_[s];
+    stored_ += shard.stored_count();
+    shard_live_[s] = shard.live_count();
+    if (shard.stored_count() > 0) dims_ = shard.dims();
+    const auto mask = shard_live_mask(shard);
     for (std::size_t local = 0; local < mask.size(); ++local) {
       if (mask[local] == 0) free_rows_.insert(to_global(s, local));
     }

@@ -23,30 +23,41 @@
 // local slot. Receipts and hits always carry global rows; `Hit::bank`
 // at this layer is the shard index.
 //
+// The fleet owns its routing state: the physical row count, the live
+// rows per shard, the stored vector length and the freed-row set are
+// fields here, and every write checks and advances them through one set
+// of private helpers — whether it arrives through the synchronous do_*
+// cores or through AsyncShardedIndex, which keeps no copy of its own.
+// Validation is fleet-level too: store rows, insert and update vectors
+// and queries are checked for length and the configured 2^bits
+// alphabet against these fields, before any shard is touched, so a
+// rejected write or store leaves the served fleet exactly as it was.
+//
 // Search is scatter-gather: the query fans to every live shard via
 // util::parallel_for_affine (shard s always lands on pool lane s % P,
 // keeping its cached bias/current tables warm in one thread), each
 // shard serves at the fleet's ordinal against its own comparator-noise
 // stream (shard seeds are salted per shard; shard 0 keeps the base
 // seed, so a 1-shard fleet is bit-identical to the unsharded index),
-// and the per-shard top-k responses k-way merge on sensed current
-// (circuit) / nominal distance (nominal). Cross-shard `margin_a` is the
-// winner's gap to the best losing candidate across all shards — for
-// k == 1 exactly BankedAm's two-best rule via the shared
-// util::merge_topk; for k > 1 each merged hit's margin is the gap to
-// the best remaining head after it is taken — with the per-shard
-// overfetch that head is the true global runner-up, so at nominal
-// fidelity these gaps equal the flat index's round margins bit for bit
-// — and +inf when the whole fleet is exhausted (the flat comparator
-// masks round winners to +inf current but keeps them competing, so its
-// own final round reports +inf too). When exactly one shard is
-// live — a 1-shard fleet, or every other shard fully deleted — its
-// response passes through wholesale (rows remapped, margins untouched),
-// so the fleet is bit-identical to that shard served alone at every k
-// and both fidelities. Dead shards are skipped
-// entirely (no search, no noise draws); EmptyIndex fires only when
-// every shard is empty (live_count() sums shards, so the base-class
-// validation covers it).
+// and the per-shard top-k responses k-way merge on sensed current (at
+// nominal fidelity the sensed current is the distance). One head merge
+// serves every k — the separate k == 1 two-best merge, util::merge_topk,
+// is gone with its lowest-shard tie rule. The merge takes the smallest
+// head, ties to the lowest global row as in the flat index, and reports
+// each merged hit's `margin_a` as the gap to the best remaining head. Each
+// shard fetches its winner alone at k == 1, so that margin is the gap
+// to the best other shard winner; for k > 1 each shard overfetches one,
+// so the best remaining head is the true global runner-up and at
+// nominal fidelity these gaps equal the flat index's round margins bit
+// for bit. The margin is +inf when the whole fleet is exhausted (the
+// flat comparator masks round winners to +inf current but keeps them
+// competing, so its own final round reports +inf too). When exactly one
+// shard is live — a 1-shard fleet, or every other shard fully deleted —
+// its response passes through wholesale (rows remapped, margins
+// untouched), so the fleet is bit-identical to that shard served alone
+// at every k and both fidelities. Dead shards are skipped entirely (no
+// search, no noise draws); EmptyIndex fires only when every shard is
+// empty.
 #pragma once
 
 #include <cstddef>
@@ -119,6 +130,9 @@ class ShardedIndex final : public AmIndex {
                              std::size_t total) const noexcept;
 
   std::size_t shard_count() const noexcept { return shards_.size(); }
+  /// A shard, for introspection and for durability layers that recover
+  /// shards in place. The fleet's routing state does not see a direct
+  /// shard mutation: call rebuild_routing() after one.
   AmIndex& shard(std::size_t s) { return *shards_.at(s); }
   const AmIndex& shard(std::size_t s) const { return *shards_.at(s); }
 
@@ -141,16 +155,17 @@ class ShardedIndex final : public AmIndex {
   SearchResponse search_shard(std::size_t shard,
                               const SearchRequest& request);
 
-  /// Re-derives routing state (free rows, configure cache) from the
-  /// shards' own contents, after a durability layer has recovered each
-  /// shard in place. Guarded like a mutation. Throws SnapshotMismatch
-  /// (from the durable layer's checks) callers detect separately; here
-  /// the only requirement is that every shard is a dense routing image.
+  /// Re-derives the routing state from the shards' own contents, after
+  /// a durability layer has recovered each shard in place. Guarded like
+  /// a mutation. Callers check separately that the shards form a dense
+  /// routing image (DurableShardedIndex throws SnapshotMismatch).
   void rebuild_routing();
 
-  std::size_t stored_count() const noexcept override;
-  std::size_t live_count() const noexcept override;
-  std::size_t dims() const noexcept override;
+  std::size_t stored_count() const noexcept override { return stored_; }
+  std::size_t live_count() const noexcept override {
+    return stored_ - free_rows_.size();
+  }
+  std::size_t dims() const noexcept override { return dims_; }
   /// The fan width at this layer: the number of shards. (Per-shard
   /// banks are an implementation detail of the shard backend.)
   std::size_t bank_count() const noexcept override {
@@ -178,30 +193,55 @@ class ShardedIndex final : public AmIndex {
 
  private:
   /// AsyncShardedIndex claims the fleet (so direct sync use throws
-  /// MutationWhileServed) and shares the merge core so async gathers
-  /// are structurally identical to the sync path.
+  /// MutationWhileServed) and drives the routing state, validation and
+  /// merge below instead of keeping copies, so async and sync serving
+  /// make each of these decisions in one place.
   friend class AsyncShardedIndex;
 
   std::unique_ptr<AmIndex> make_shard(std::size_t shard) const;
 
-  /// The scatter half: one sub-response per shard (dead shards left
-  /// empty), each fetched at `ordinal` with per-shard k
-  /// (min(k + 1, shard live) so a losing candidate for the margin
-  /// always survives the merge unless the fleet is exhausted).
-  std::vector<SearchResponse> scatter(std::span<const int> query,
-                                      std::size_t k, std::uint64_t ordinal,
-                                      bool in_query_pool) const;
+  // -- the write path both front doors share --
+  // Each check_* throws before anything moves; record_* advances the
+  // routing fields once the target shard (or its queue) has taken the
+  // write. check_insert returns the insert's target global row.
+  void check_vector(std::span<const int> vector, std::size_t dims) const;
+  void check_row(std::size_t global_row) const;
+  std::size_t check_insert(std::span<const int> vector) const;
+  void check_remove(std::size_t global_row) const;
+  void check_update(std::size_t global_row, std::span<const int> vector) const;
+  /// An insert or update made `global_row` live with a `length`-long row.
+  void record_live(std::size_t global_row, std::size_t length);
+  void record_removed(std::size_t global_row);
+
+  /// Single-shard request validation against the routing fields: the
+  /// shard index, typed EmptyIndex for a dead shard, k against its live
+  /// rows, and the query.
+  void validate_shard_request(std::size_t shard,
+                              const SearchRequest& request) const;
+
+  std::size_t live_shard_count() const noexcept;
+  /// The k shard `shard` is searched at for a fleet-wide k: 0 for a dead
+  /// shard (never searched); k itself at k == 1 or for a sole live shard
+  /// (whose response passes through); else min(k + 1, live) so a losing
+  /// candidate for the margin always survives the merge unless the
+  /// fleet is exhausted.
+  std::size_t shard_k(std::size_t shard, std::size_t k) const noexcept;
 
   /// The gather half, shared verbatim by the sync path and the async
-  /// ticket: k-way merge of per-shard responses with global rows,
-  /// bank = shard, and cross-shard margin reconstruction.
+  /// ticket: k-way merge of per-shard responses (dead shards empty) with
+  /// global rows, bank = shard, and cross-shard margins.
   SearchResponse merge_shard_responses(
       std::span<const SearchResponse> parts, std::size_t k) const;
-
-  double merge_key(const Hit& hit) const noexcept;
+  /// One shard's response in fleet coordinates (global rows, bank = shard).
+  SearchResponse from_shard(std::size_t shard, SearchResponse response) const;
 
   ShardedOptions options_;
   std::vector<std::unique_ptr<AmIndex>> shards_;
+  // Routing state (see the file comment): exact as of every accepted
+  // write, synchronous or async.
+  std::size_t stored_ = 0;
+  std::vector<std::size_t> shard_live_;
+  std::size_t dims_ = 0;
   std::set<std::size_t> free_rows_;
   csp::DistanceMetric metric_ = csp::DistanceMetric::kHamming;
   int bits_ = 0;

@@ -16,9 +16,13 @@
 //   * a fully deleted shard is skipped outright (no search, no noise
 //     draws) and EmptyIndex fires only when every shard is empty;
 //   * a delete/insert/overwrite interleave serves bit-identically to a
-//     fresh store() of the surviving layout;
+//     fresh store() of the surviving layout, and a smaller store() drops
+//     every old row;
+//   * validation is fleet-level (length and alphabet of store rows,
+//     write vectors and queries; rows past the fleet's end), and a
+//     rejected store() leaves the fleet serving exactly as before;
 //   * DurableShardedIndex recovers the fleet bit-identically, types
-//     every topology/manifest mismatch as SnapshotMismatch, and
+//     every topology/manifest mismatch or damaged manifest, and
 //     survives a crash injected at the manifest-write failpoints of a
 //     3-shard fleet.
 #include <gtest/gtest.h>
@@ -38,12 +42,14 @@
 #include "arch/banked_am.hpp"
 #include "core/ferex.hpp"
 #include "data/datasets.hpp"
+#include "encode/serialize.hpp"
 #include "serve/async_sharded.hpp"
 #include "serve/banked_index.hpp"
 #include "serve/durable_sharded.hpp"
 #include "serve/engine_index.hpp"
 #include "serve/sharded_index.hpp"
 #include "serve/snapshot.hpp"
+#include "util/durable_file.hpp"
 #include "util/failpoint.hpp"
 
 namespace ferex {
@@ -81,11 +87,11 @@ void expect_same_results(const serve::SearchResponse& a,
 }
 
 /// Ignoring bank AND margin — for the one documented divergence: at
-/// k == 1 the fleet's margin is BankedAm's two-best rule over shard
-/// winners (a flat array also senses the winner's in-shard runner-up,
-/// which a 1-hit scatter never fetches). Hits, order, currents, and
-/// distances still agree bit for bit; the margin rule itself is proven
-/// against the reference merge.
+/// k == 1 the fleet's margin is the gap to the best other shard winner
+/// (a flat array also senses the winner's in-shard runner-up, which a
+/// 1-hit scatter never fetches). Hits, order, currents, and distances
+/// still agree bit for bit; the margin rule itself is proven against
+/// the reference merge.
 void expect_same_hits(const serve::SearchResponse& a,
                       const serve::SearchResponse& b) {
   ASSERT_EQ(a.hits.size(), b.hits.size());
@@ -205,9 +211,9 @@ std::vector<std::vector<std::vector<int>>> shard_slices(
 /// semantics over per-shard reference indexes: per-shard k
 /// (k == 1 -> 1; sole live shard -> k; else min(k + 1, live)), merge on
 /// sensed current (circuit) / nominal distance (nominal) with ties to
-/// the lowest global row, k == 1 margins by the two-best rule, k > 1
-/// margins as the gap to the best remaining candidate (+inf when the
-/// fleet is exhausted), sole-live-shard responses passed through
+/// the lowest global row, margins as the gap to the best remaining
+/// candidate (+inf when the fleet is exhausted; at k == 1 that is the
+/// best other shard winner), sole-live-shard responses passed through
 /// wholesale. This is the reference the fleet must match bit for bit.
 serve::SearchResponse reference_merge(
     const serve::ShardedIndex& fleet,
@@ -239,29 +245,6 @@ serve::SearchResponse reference_merge(
         hit.bank = s;
       }
     }
-    return out;
-  }
-  if (k == 1) {
-    // Two-best rule over the shard winners (ties to the lowest shard).
-    std::size_t winner = parts.size();
-    double best = kInf;
-    double second = kInf;
-    for (std::size_t s = 0; s < parts.size(); ++s) {
-      if (parts[s].hits.empty()) continue;
-      const double sensed = key_of(parts[s].hits.front());
-      if (sensed < best) {
-        second = best;
-        best = sensed;
-        winner = s;
-      } else if (sensed < second) {
-        second = sensed;
-      }
-    }
-    serve::Hit hit = parts[winner].hits.front();
-    hit.global_row = fleet.to_global(winner, hit.global_row);
-    hit.bank = winner;
-    hit.margin_a = second - best;
-    out.hits.push_back(hit);
     return out;
   }
   // Flatten every fetched candidate; the per-shard lists are sorted, so
@@ -424,7 +407,15 @@ TEST(ShardedRoutingT, ValidationIsFleetLevel) {
   EXPECT_EQ(fleet->next_insert_target().first, 1u);
   EXPECT_THROW(fleet->insert(std::vector<int>{1, 2}), std::invalid_argument);
   EXPECT_THROW(fleet->insert(std::vector<int>{}), std::invalid_argument);
+  // Values and queries are checked against the 2-bit alphabet.
+  EXPECT_THROW(fleet->insert(std::vector<int>{0, 1, 2, 3, 4}),
+               std::out_of_range);
+  EXPECT_THROW(fleet->search(request({0, 1, 2, 3, 4}, 1)), std::out_of_range);
   EXPECT_THROW(fleet->remove(99), std::out_of_range);
+  // Row 5 is past the fleet's end and routes to the never-stored shard
+  // 1: still out_of_range, as AmIndex::remove documents.
+  EXPECT_THROW(fleet->remove(5), std::out_of_range);
+  EXPECT_THROW(fleet->update(5, db[0]), std::out_of_range);
   fleet->remove(1);
   EXPECT_THROW(fleet->remove(1), std::logic_error);
   EXPECT_THROW(
@@ -439,6 +430,42 @@ TEST(ShardedRoutingT, ValidationIsFleetLevel) {
   serve::ShardedIndex empty{
       make_options(Backend::kEngine, SearchFidelity::kNominal, 2, 4)};
   EXPECT_THROW(empty.search(request(db[0], 1)), serve::EmptyIndex);
+}
+
+TEST(ShardedRoutingT, NominalKOneTieGoesToTheLowestGlobalRow) {
+  // 2 shards, block 2: rows 2 (shard 1) and 4 (shard 0) both match the
+  // query exactly, and the flat index picks the lower row.
+  const std::vector<std::vector<int>> db = {{3, 3, 3}, {3, 3, 3}, {0, 1, 0},
+                                            {3, 3, 3}, {0, 1, 0}, {3, 3, 3}};
+  const std::vector<int> query = {0, 1, 0};
+  for (const Backend backend : {Backend::kEngine, Backend::kBanked}) {
+    const auto options = make_options(backend, SearchFidelity::kNominal, 2, 2);
+    auto fleet = make_fleet(options, db);
+    auto flat = make_unsharded(options, db);
+    const auto got = fleet->search(request(query, 1));
+    EXPECT_EQ(got.best().global_row, 2u);
+    expect_same_hits(got, flat->search(request(query, 1)));
+  }
+}
+
+TEST(ShardedRoutingT, StoringASmallerDatabaseDropsTheOldRows) {
+  // 2 shards, block 4: 8 rows fill both shards, then 2 rows fit on shard
+  // 0 alone — shard 1's old rows must go, not merely be re-configured.
+  const auto big = data::random_int_vectors(8, 5, 4, 2004);
+  const auto small = data::random_int_vectors(2, 5, 4, 2005);
+  const auto queries = data::random_int_vectors(2, 5, 4, 2006);
+  const auto probe = data::random_int_vectors(1, 5, 4, 2007).front();
+  for (const Backend backend : {Backend::kEngine, Backend::kBanked}) {
+    const auto options = make_options(backend, SearchFidelity::kNominal, 2, 4);
+    auto fleet = make_fleet(options, big);
+    fleet->store(small);
+    EXPECT_EQ(fleet->stored_count(), 2u);
+    EXPECT_EQ(fleet->shard(1).stored_count(), 0u);
+    EXPECT_EQ(fleet->next_insert_target(),
+              std::make_pair(std::size_t{0}, std::size_t{2}));
+    auto fresh = make_fleet(options, small);
+    expect_same_fleet_state(*fleet, *fresh, queries, probe);
+  }
 }
 
 // ------------------------------------------------- sync bit-identity --
@@ -646,6 +673,32 @@ TEST_P(ShardedParityT, BatchMatchesSequentialServing) {
   EXPECT_EQ(fleet->query_serial(), twin->query_serial());
 }
 
+TEST_P(ShardedParityT, RejectedStoreLeavesTheFleetServingAsBefore) {
+  const auto [backend, fidelity] = GetParam();
+  const auto db = data::random_int_vectors(6, 5, 4, 2025);
+  const auto queries = data::random_int_vectors(3, 5, 4, 2026);
+  const auto probe = data::random_int_vectors(1, 5, 4, 2027).front();
+  const auto options = make_options(backend, fidelity, 2, 2);
+  auto fleet = make_fleet(options, db);
+  auto twin = make_fleet(options, db);
+  fleet->remove(3);
+  twin->remove(3);
+
+  // Rows 0-1 land on shard 0 and rows 2-3 on shard 1, so each shard's
+  // slice is consistent on its own: only the fleet sees the database is
+  // ragged.
+  auto ragged = data::random_int_vectors(4, 5, 4, 2028);
+  ragged[2].pop_back();
+  ragged[3].pop_back();
+  EXPECT_THROW(fleet->store(ragged), std::invalid_argument);
+  EXPECT_THROW(fleet->store(std::vector<std::vector<int>>(4)),
+               std::invalid_argument);
+  auto bad_value = db;
+  bad_value[5][0] = 4;  // outside the 2-bit alphabet
+  EXPECT_THROW(fleet->store(bad_value), std::out_of_range);
+  expect_same_fleet_state(*fleet, *twin, queries, probe);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Matrix, ShardedParityT,
     ::testing::Combine(::testing::Values(Backend::kEngine, Backend::kBanked),
@@ -716,7 +769,7 @@ TEST_P(AsyncShardedT, SubmissionOrderEqualsTheSynchronousSequence) {
                    twin->search(request(queries[1], 2)));
 }
 
-TEST_P(AsyncShardedT, SubmitValidatesAgainstTheExactShadow) {
+TEST_P(AsyncShardedT, SubmitValidatesAgainstTheFleetState) {
   const auto [backend, fidelity] = GetParam();
   const auto db = data::random_int_vectors(6, 5, 4, 2033);
   const auto queries = data::random_int_vectors(2, 5, 4, 2034);
@@ -728,14 +781,15 @@ TEST_P(AsyncShardedT, SubmitValidatesAgainstTheExactShadow) {
   EXPECT_THROW(session.submit(request(queries[0], 0)), std::invalid_argument);
   EXPECT_THROW(session.submit(request(queries[0], 7)), std::invalid_argument);
   EXPECT_THROW(session.submit(request({1, 2}, 1)), std::invalid_argument);
+  EXPECT_THROW(session.submit(request({0, 1, 2, 3, 4}, 1)), std::out_of_range);
   EXPECT_THROW(session.submit_shard(9, request(queries[0], 1)),
                std::out_of_range);
   EXPECT_THROW(session.submit_insert({1, 2}), std::invalid_argument);
   EXPECT_THROW(session.submit_insert({9, 9, 9, 9, 9}), std::out_of_range);
   EXPECT_THROW(session.submit_remove(99), std::out_of_range);
   auto pending = session.submit_remove(3);
-  // The shadow is exact at submission: the double remove is rejected
-  // here, not at apply time.
+  // The fleet's state is exact at submission: the double remove is
+  // rejected here, not at apply time.
   EXPECT_THROW(session.submit_remove(3), std::logic_error);
   pending.get();
   // Rejections consumed nothing.
@@ -835,6 +889,28 @@ TEST_P(DurableShardedT, AsyncSessionJournalsIntoTheShardWals) {
   expect_same_fleet_state(live, recovered, queries, fresh[2]);
 }
 
+TEST_P(DurableShardedT, StoringASmallerDatabaseRecovers) {
+  const auto [backend, fidelity] = GetParam();
+  const auto big = data::random_int_vectors(8, 5, 4, 2051);
+  const auto small = data::random_int_vectors(2, 5, 4, 2052);
+  const auto queries = data::random_int_vectors(2, 5, 4, 2053);
+  const auto probe = data::random_int_vectors(1, 5, 4, 2054).front();
+  // 2 shards, block 4: the second store leaves shard 1 empty, which no
+  // WAL record can express — the durable store checkpoints it.
+  const auto options = make_options(backend, fidelity, 2, 4);
+  ScopedDir dir;
+
+  serve::ShardedIndex live{options};
+  serve::DurableShardedIndex durable(live, dir.path());
+  durable.configure(DistanceMetric::kHamming, 2);
+  durable.store(big);
+  durable.store(small);
+
+  serve::ShardedIndex recovered{options};
+  serve::DurableShardedIndex durable2(recovered, dir.path());
+  expect_same_fleet_state(live, recovered, queries, probe);
+}
+
 TEST(DurableShardedMismatchT, TopologyDisagreementIsTyped) {
   const auto db = data::random_int_vectors(6, 5, 4, 2046);
   ScopedDir dir;
@@ -906,6 +982,45 @@ TEST(DurableShardedMismatchT, LostShardDirectoryAndLostManifestAreTyped) {
     EXPECT_THROW(serve::DurableShardedIndex(fleet, dir.path()),
                  serve::SnapshotMismatch);
   }
+}
+
+TEST(DurableShardedMismatchT, DamagedManifestIsTyped) {
+  const auto db = data::random_int_vectors(6, 5, 4, 2055);
+  const auto options =
+      make_options(Backend::kEngine, SearchFidelity::kCircuit, 3, 2);
+  ScopedDir dir;
+  std::string path;
+  {
+    serve::ShardedIndex live{options};
+    serve::DurableShardedIndex durable(live, dir.path());
+    durable.configure(DistanceMetric::kHamming, 2);
+    durable.store(db);
+    path = durable.manifest_path();
+  }
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(util::read_file(path, bytes));
+  // True when reopening over `manifest` fails with a typed error; any
+  // other exception escapes and fails the test.
+  const auto rejected = [&](const std::vector<std::uint8_t>& manifest) {
+    util::atomic_write_file(path, manifest);
+    serve::ShardedIndex fleet{options};
+    try {
+      serve::DurableShardedIndex durable(fleet, dir.path());
+    } catch (const encode::CorruptSnapshot&) {
+      return true;
+    } catch (const serve::SnapshotMismatch&) {
+      return true;
+    }
+    return false;
+  };
+  for (std::size_t size = 0; size < bytes.size(); ++size) {
+    EXPECT_TRUE(rejected({bytes.begin(), bytes.begin() + size}))
+        << "truncated to " << size << " bytes";
+  }
+  auto flipped = bytes;
+  flipped[19] = 0xff;  // the shard count's high byte
+  EXPECT_TRUE(rejected(flipped));
+  EXPECT_FALSE(rejected(bytes));  // the intact manifest still opens
 }
 
 // --------------------------------------------------- crash injection --
