@@ -1,20 +1,12 @@
 #include "core/profiler.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <stdexcept>
-#include <thread>
-#include <unordered_map>
 
 namespace ferex::core {
 
 namespace {
-
-/// Nonzero key for the calling thread (0 marks a free slot).
-std::uint64_t thread_key() noexcept {
-  return std::hash<std::thread::id>{}(std::this_thread::get_id()) | 1u;
-}
 
 /// Linear-interpolated percentile over sorted samples — the same
 /// convention as benchjson::percentile_sorted (kept local: src never
@@ -28,8 +20,7 @@ double percentile_sorted(const std::vector<double>& sorted, double p) {
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
-/// xorshift64 — cheap per-slot RNG for reservoir eviction; only the slot
-/// owner thread ever touches its state.
+/// xorshift64 — cheap RNG for reservoir eviction.
 std::uint64_t xorshift64(std::uint64_t x) noexcept {
   x ^= x << 13;
   x ^= x >> 7;
@@ -39,92 +30,41 @@ std::uint64_t xorshift64(std::uint64_t x) noexcept {
 
 }  // namespace
 
-LatencyReservoir::LatencyReservoir(std::size_t capacity_per_thread)
-    : capacity_(capacity_per_thread == 0 ? 1 : capacity_per_thread),
-      slots_(kSlots) {
-  for (auto& slot : slots_) {
-    slot.samples = std::vector<std::atomic<double>>(capacity_);
-  }
-}
-
-LatencyReservoir::Slot* LatencyReservoir::slot_for_this_thread() noexcept {
-  // Per-(thread, reservoir) slot cache. An entry can go stale when a
-  // reservoir is destroyed and another is constructed at the same
-  // address, so a cache hit is only trusted when the slot still carries
-  // this thread's key.
-  thread_local std::unordered_map<const LatencyReservoir*, std::size_t>
-      slot_cache;
-  const std::uint64_t key = thread_key();
-  try {
-    const auto it = slot_cache.find(this);
-    if (it != slot_cache.end() &&
-        slots_[it->second].owner.load(std::memory_order_relaxed) == key) {
-      return &slots_[it->second];
-    }
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      std::uint64_t expected = 0;
-      if (slots_[i].owner.compare_exchange_strong(
-              expected, key, std::memory_order_relaxed) ||
-          expected == key) {
-        slots_[i].rng = key;
-        slot_cache[this] = i;
-        return &slots_[i];
-      }
-    }
-  } catch (...) {
-    // Allocation failure in the cache: treat as slot exhaustion.
-  }
-  return nullptr;
+LatencyReservoir::LatencyReservoir(std::size_t capacity)
+    : capacity_(capacity == 0 ? 1 : capacity), rng_(0x9E3779B97F4A7C15ull) {
+  samples_.reserve(capacity_);
 }
 
 void LatencyReservoir::record(double sample_us) noexcept {
-  Slot* slot = slot_for_this_thread();
-  if (slot == nullptr) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  const std::uint64_t n =
-      slot->seen.fetch_add(1, std::memory_order_relaxed) + 1;
-  double prev_max = slot->max.load(std::memory_order_relaxed);
-  while (sample_us > prev_max &&
-         !slot->max.compare_exchange_weak(prev_max, sample_us,
-                                          std::memory_order_relaxed)) {
-  }
-  if (n <= capacity_) {
-    slot->samples[n - 1].store(sample_us, std::memory_order_relaxed);
+  util::MutexLock lock(mutex_);
+  ++seen_;
+  max_ = std::max(max_, sample_us);
+  if (samples_.size() < capacity_) {
+    samples_.push_back(sample_us);  // within the reserved capacity
     return;
   }
   // Reservoir step: replace a random kept sample with probability
-  // capacity / n, so the kept set stays a uniform sample of the stream.
-  slot->rng = xorshift64(slot->rng);
-  const std::uint64_t r = slot->rng % n;
-  if (r < capacity_) {
-    slot->samples[r].store(sample_us, std::memory_order_relaxed);
-  }
+  // capacity / seen, so the kept set stays a uniform sample of the
+  // stream.
+  rng_ = xorshift64(rng_);
+  const std::uint64_t r = rng_ % seen_;
+  if (r < capacity_) samples_[r] = sample_us;
 }
 
 LatencyReservoir::Summary LatencyReservoir::summarize() const {
   Summary summary;
-  summary.dropped = dropped_.load(std::memory_order_relaxed);
-  std::vector<double> merged;
-  for (const auto& slot : slots_) {
-    if (slot.owner.load(std::memory_order_relaxed) == 0) continue;
-    const std::uint64_t seen = slot.seen.load(std::memory_order_relaxed);
-    if (seen == 0) continue;
-    summary.count += seen;
-    summary.max_us =
-        std::max(summary.max_us, slot.max.load(std::memory_order_relaxed));
-    const std::size_t kept =
-        static_cast<std::size_t>(std::min<std::uint64_t>(seen, capacity_));
-    for (std::size_t i = 0; i < kept; ++i) {
-      merged.push_back(slot.samples[i].load(std::memory_order_relaxed));
-    }
+  std::vector<double> sorted;
+  {
+    util::MutexLock lock(mutex_);
+    summary.count = seen_;
+    summary.max_us = max_;
+    sorted = samples_;
   }
-  summary.kept = merged.size();
-  std::sort(merged.begin(), merged.end());
-  summary.p50_us = percentile_sorted(merged, 50.0);
-  summary.p95_us = percentile_sorted(merged, 95.0);
-  summary.p99_us = percentile_sorted(merged, 99.0);
+  summary.kept = sorted.size();
+  std::sort(sorted.begin(), sorted.end());
+  summary.p50_us = percentile_sorted(sorted, 50.0);
+  summary.p95_us = percentile_sorted(sorted, 95.0);
+  summary.p99_us = percentile_sorted(sorted, 99.0);
   return summary;
 }
 

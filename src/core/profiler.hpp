@@ -8,88 +8,64 @@
 // accuracy (Fig. 7) without running the full MC.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/ferex.hpp"
+#include "util/mutex.hpp"
 #include "util/stats.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace ferex::core {
 
-/// Serve-path latency percentiles via a lock-free per-thread reservoir.
+/// Serve-path latency percentiles from a bounded reservoir sample.
 ///
 /// The serving layer needs p50/p95/p99 of queue-wait and end-to-end
-/// latency without perturbing the path it measures: a mutex-guarded
-/// sample vector would serialize exactly the threads whose concurrency
-/// is being benchmarked. Instead each recording thread owns one slot —
-/// claimed once with a CAS, cached thread-locally — and appends into a
-/// fixed-size sample array with relaxed atomic stores (reservoir
-/// sampling once the array is full, so the kept set stays a uniform
-/// sample of everything seen). record() takes no locks and never blocks
-/// another recorder.
+/// latency over an unbounded stream in bounded memory. The reservoir
+/// keeps at most `capacity` samples — a uniform sample of everything
+/// recorded (reservoir sampling once full) — plus the exact count and
+/// maximum. Its one recorder in the serving stack is the AsyncAmIndex
+/// dispatcher thread, so the mutex is uncontended on the hot path; it
+/// makes record() safe from any thread and lets summarize() read from
+/// any thread mid-traffic. record() never allocates: the sample array is
+/// reserved at construction.
 ///
-/// summarize() merges the per-thread reservoirs into percentiles. It can
-/// run concurrently with recorders — the atomics make that well-defined
-/// under TSan — but a snapshot taken mid-traffic is a sample of a moving
-/// stream; quiesce first when exact counts matter. More recording
-/// threads than kSlots is not an error: overflow records are counted
-/// (and reported via Summary::dropped) rather than taken.
+/// A snapshot taken mid-traffic is a sample of a moving stream; quiesce
+/// first when exact counts matter.
 class LatencyReservoir {
  public:
-  /// Max concurrent recording threads tracked slot-per-thread.
-  static constexpr std::size_t kSlots = 64;
-
-  /// `capacity_per_thread` bounds memory: each recording thread keeps at
-  /// most this many samples (uniformly subsampled past it).
-  explicit LatencyReservoir(std::size_t capacity_per_thread = 512);
+  /// `capacity` bounds memory: at most this many samples are kept
+  /// (uniformly subsampled past it).
+  explicit LatencyReservoir(std::size_t capacity = 512);
 
   LatencyReservoir(const LatencyReservoir&) = delete;
   LatencyReservoir& operator=(const LatencyReservoir&) = delete;
 
-  /// Records one sample (microseconds by convention). Lock-free; safe
-  /// from any number of threads concurrently.
+  /// Records one sample (microseconds by convention).
   void record(double sample_us) noexcept;
 
   struct Summary {
-    std::uint64_t count = 0;    ///< samples offered to record()
-    std::uint64_t kept = 0;     ///< samples retained in the reservoirs
-    std::uint64_t dropped = 0;  ///< records lost to slot exhaustion
+    std::uint64_t count = 0;  ///< samples offered to record()
+    std::uint64_t kept = 0;   ///< samples retained in the reservoir
     double p50_us = 0.0;
     double p95_us = 0.0;
     double p99_us = 0.0;
     double max_us = 0.0;  ///< exact (tracked outside the reservoir)
   };
 
-  /// Merges every thread's reservoir into percentiles (linear
-  /// interpolation over the kept samples, the bench_json convention).
+  /// Percentiles over the kept samples (linear interpolation, the
+  /// bench_json convention), copied out under the lock.
   Summary summarize() const;
 
  private:
-  /// Thread-safety: deliberately lock-free, so these fields are exempt
-  /// from GUARDED_BY — there is no capability to name. `owner` is the
-  /// synchronization point: a slot is claimed with a CAS and from then
-  /// on `seen`/`max`/`samples` take relaxed atomic accesses (summarize()
-  /// may read mid-stream by design; see the class comment). `rng` is the
-  /// one plain field — only ever touched by the thread whose CAS won the
-  /// slot, which is exactly the ownership discipline the CAS encodes.
-  struct Slot {
-    std::atomic<std::uint64_t> owner{0};  ///< hashed thread id; 0 = free
-    std::atomic<std::uint64_t> seen{0};   ///< samples offered to this slot
-    std::atomic<double> max{0.0};
-    std::uint64_t rng = 0;  ///< owner-thread-only reservoir RNG state
-    std::vector<std::atomic<double>> samples;
-  };
-
-  /// This thread's slot, claiming one on first use (nullptr when all
-  /// kSlots are owned by other live threads).
-  Slot* slot_for_this_thread() noexcept;
-
   const std::size_t capacity_;
-  std::vector<Slot> slots_;
-  std::atomic<std::uint64_t> dropped_{0};
+  mutable util::Mutex mutex_;
+  std::uint64_t seen_ GUARDED_BY(mutex_) = 0;
+  double max_ GUARDED_BY(mutex_) = 0.0;
+  std::uint64_t rng_ GUARDED_BY(mutex_);  ///< reservoir eviction state
+  std::vector<double> samples_ GUARDED_BY(mutex_);
 };
 
 struct SearchProfile {

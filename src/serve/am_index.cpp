@@ -97,19 +97,12 @@ std::vector<SearchResponse> AmIndex::search_batch(
   return dispatch_batch(requests, ordinals);
 }
 
-std::vector<SearchResponse> AmIndex::search_batch_at(
-    std::span<const SearchRequest> requests,
-    std::span<const std::uint64_t> ordinals) const {
-  check_mutable("search_batch_at");
-  return serve_batch_at(requests, ordinals);
-}
-
 std::vector<SearchResponse> AmIndex::serve_batch_at(
     std::span<const SearchRequest> requests,
     std::span<const std::uint64_t> ordinals) const {
   if (requests.size() != ordinals.size()) {
     throw std::invalid_argument(
-        "AmIndex::search_batch_at: requests/ordinals size mismatch");
+        "AmIndex::serve_batch_at: requests/ordinals size mismatch");
   }
   if (requests.empty()) return {};
   for (const auto& request : requests) validate_request(request);

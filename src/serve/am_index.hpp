@@ -67,7 +67,7 @@ class AsyncShardedIndex;
 /// clang's `-Wthread-safety` this makes the template-method protocol a
 /// compile-time rule: every do_* core REQUIRES the capability, so a new
 /// public mutator that forgets its guard fails the static-analysis CI
-/// leg instead of silently racing dispatchers.
+/// leg instead of silently racing the dispatcher.
 class CAPABILITY("role") MutationSerialization {};
 
 /// Per-request serving policy — the v2 request API. Default-constructed
@@ -161,8 +161,8 @@ class AmIndex {
   /// Every mutating entry point below is a thin guard over a protected
   /// do_* virtual: while an AsyncAmIndex owns this index the guard
   /// throws MutationWhileServed instead of silently racing the
-  /// dispatcher threads (the async front door routes writes through its
-  /// own queue, where they serialize against in-flight searches).
+  /// dispatcher thread (the async front door routes writes through its
+  /// own queue, where they serialize against queued searches).
 
   /// Configures (or re-configures) the distance function on the backend;
   /// stored and inserted rows are re-encoded.
@@ -210,19 +210,6 @@ class AmIndex {
   /// read through AsyncAmIndex::submit with a pinned ordinal instead.
   SearchResponse search_at(const SearchRequest& request,
                            std::uint64_t ordinal) const;
-
-  /// Const ordinal-addressed batch core: serves request i at ordinals[i],
-  /// consuming nothing (any request.ordinal is ignored in favor of the
-  /// argument). Scheduling matches search_batch — requests fan across the
-  /// worker pool unless the backend prefers inner row/bank fan-out — and
-  /// element i is bit-identical to search_at(requests[i], ordinals[i]).
-  /// This is the serving core async front doors batch onto: they assign
-  /// ordinals at submission time and coalesce here without perturbing the
-  /// index's own query serial. Throws std::invalid_argument when the two
-  /// spans differ in length, and validates every request up front.
-  std::vector<SearchResponse> search_batch_at(
-      std::span<const SearchRequest> requests,
-      std::span<const std::uint64_t> ordinals) const;
 
   /// Full request validation (k range + backend query checks), the same
   /// pass every serving entry point runs before any ordinal is consumed.
@@ -294,10 +281,10 @@ class AmIndex {
 
  private:
   /// AsyncAmIndex holds the ownership flag for its lifetime and drives
-  /// the unguarded do_* / serve_*_at cores from its dispatchers (its
+  /// the unguarded do_* / serve_*_at cores from its dispatcher (its
   /// queue provides the serialization the guards otherwise demand).
   /// Ownership is exclusive: a second wrapper over the same index would
-  /// serve duplicate ordinals and race the first one's dispatchers, so
+  /// serve duplicate ordinals and race the first one's dispatcher, so
   /// the claim throws instead.
   friend class AsyncAmIndex;
   /// AsyncShardedIndex claims the fleet-level ShardedIndex the same way
@@ -329,16 +316,26 @@ class AmIndex {
     query_serial_ = serial;
   }
 
-  /// Unguarded bodies of search_at / search_batch_at, for the owning
-  /// AsyncAmIndex's dispatchers.
+  /// Unguarded body of search_at, for the owning AsyncAmIndex's
+  /// dispatcher.
   SearchResponse serve_at(const SearchRequest& request,
                           std::uint64_t ordinal) const;
+  /// Const ordinal-addressed batch core: serves request i at ordinals[i],
+  /// consuming nothing (any request.ordinal is ignored in favor of the
+  /// argument). Scheduling matches search_batch — requests fan across the
+  /// worker pool unless the backend prefers inner row/bank fan-out — and
+  /// element i is bit-identical to serve_at(requests[i], ordinals[i]).
+  /// This is the serving core the async front door batches onto: it
+  /// assigns ordinals at submission time and coalesces here without
+  /// perturbing the index's own query serial. Throws
+  /// std::invalid_argument when the two spans differ in length, and
+  /// validates every request up front.
   std::vector<SearchResponse> serve_batch_at(
       std::span<const SearchRequest> requests,
       std::span<const std::uint64_t> ordinals) const;
 
   /// Post-validation batch dispatch shared by search_batch and
-  /// search_batch_at: fans requests across the pool or runs them serially
+  /// serve_batch_at: fans requests across the pool or runs them serially
   /// with inner fan-out, per the backend's scheduling rule.
   std::vector<SearchResponse> dispatch_batch(
       std::span<const SearchRequest> requests,

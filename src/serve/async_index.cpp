@@ -20,7 +20,6 @@ double us_between(Clock::time_point from, Clock::time_point to) {
 AsyncOptions sanitized(AsyncOptions options) {
   options.queue_depth = std::max<std::size_t>(1, options.queue_depth);
   options.max_batch = std::max<std::size_t>(1, options.max_batch);
-  options.dispatchers = std::max<std::size_t>(1, options.dispatchers);
   return options;
 }
 
@@ -32,7 +31,7 @@ AsyncAmIndex::AsyncAmIndex(AmIndex& index, AsyncOptions options)
       queue_(options_.queue_depth) {
   // Own the index for the session: synchronous mutation (or
   // ordinal-consuming synchronous serving) now throws the typed
-  // MutationWhileServed instead of racing the dispatchers. The claim is
+  // MutationWhileServed instead of racing the dispatcher. The claim is
   // exclusive — wrapping an already-owned index throws here — and it
   // comes before the serial snapshot, so no synchronous search can
   // slip in between and consume an ordinal this session would re-serve;
@@ -41,18 +40,10 @@ AsyncAmIndex::AsyncAmIndex(AmIndex& index, AsyncOptions options)
   index_.claim_async_owner();
   serial_ = index_.query_serial();
   try {
-    dispatchers_.reserve(options_.dispatchers);
-    for (std::size_t d = 0; d < options_.dispatchers; ++d) {
-      dispatchers_.emplace_back([this] { dispatch_loop(); });
-    }
+    dispatcher_ = std::thread([this] { dispatch_loop(); });  // ferex-lint: allow(raw-thread)
   } catch (...) {
-    // Thread spawn failed mid-construction: the destructor will not
-    // run, so unwind by hand — stop what did start and hand the index
-    // back, or it stays locked behind the guard forever.
-    queue_.close();
-    for (auto& dispatcher : dispatchers_) {
-      if (dispatcher.joinable()) dispatcher.join();
-    }
+    // Thread spawn failed: the destructor will not run, so hand the
+    // index back here, or it stays locked behind the guard forever.
     index_.release_async_owner();
     throw;
   }
@@ -61,7 +52,6 @@ AsyncAmIndex::AsyncAmIndex(AmIndex& index, AsyncOptions options)
 AsyncAmIndex::~AsyncAmIndex() { shutdown(); }
 
 bool AsyncAmIndex::writes_pending() const {
-  util::MutexLock order(order_mutex_);
   return writes_applied_ < writes_admitted_.load(std::memory_order_relaxed);
 }
 
@@ -70,7 +60,7 @@ void AsyncAmIndex::validate_search_submit(const SearchRequest& request) const {
   // on a quiescent session (else deferred to execution — even the
   // configured+stored precondition, which a queued first insert
   // establishes). The shared lock orders the backend reads against a
-  // write a dispatcher may be applying, and the closing_ check inside
+  // write the dispatcher may be applying, and the closing_ check inside
   // it keeps stragglers off an index that shutdown() may already have
   // handed back to synchronous mutators (shutdown's unique-lock
   // barrier waits out validators already past the check).
@@ -98,24 +88,15 @@ bool AsyncAmIndex::placed_ahead(const SearchRequest& request) const noexcept {
   return options_.admission.order == AdmissionPolicy::ClassOrder::kSearchFirst;
 }
 
-double AsyncAmIndex::service_estimate_us() const noexcept {
-  if (options_.admission.assumed_service_us > 0) {
-    return static_cast<double>(options_.admission.assumed_service_us);
-  }
-  return est_service_us_.load(std::memory_order_relaxed);
-}
-
 void AsyncAmIndex::note_service(double total_us, std::size_t ops) noexcept {
   if (ops == 0) return;
   const double sample = total_us / static_cast<double>(ops);
-  double prev = est_service_us_.load(std::memory_order_relaxed);
-  double next;
-  do {
-    // First observation seeds; afterwards a gentle EWMA (alpha 0.25)
-    // tracks service-time drift without chasing one slow batch.
-    next = prev == 0.0 ? sample : prev + 0.25 * (sample - prev);
-  } while (!est_service_us_.compare_exchange_weak(prev, next,
-                                                  std::memory_order_relaxed));
+  // Only the dispatcher writes the estimate, so a plain load/store
+  // suffices. First observation seeds; afterwards a gentle EWMA (alpha
+  // 0.25) tracks service-time drift without chasing one slow batch.
+  const double prev = est_service_us_.load(std::memory_order_relaxed);
+  est_service_us_.store(prev == 0.0 ? sample : prev + 0.25 * (sample - prev),
+                        std::memory_order_relaxed);
 }
 
 void AsyncAmIndex::check_submit_deadline(const SearchRequest& request,
@@ -125,7 +106,7 @@ void AsyncAmIndex::check_submit_deadline(const SearchRequest& request,
       policy.shed != AdmissionPolicy::ShedPolicy::kSubmitAndDispatch) {
     return;
   }
-  const double per_op = service_estimate_us();
+  const double per_op = est_service_us_.load(std::memory_order_relaxed);
   if (per_op <= 0.0) return;
   // Ops this request would wait behind: every queued search, plus the
   // queued writes it cannot overtake (all of them in FIFO placement,
@@ -157,33 +138,18 @@ std::future<SearchResponse> AsyncAmIndex::submit(SearchRequest request) {
     rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
     throw ShutDown("AsyncAmIndex: submit after shutdown");
   }
-  // Class share: a search class at its queue share is rejected even
-  // while the queue itself has room (a write burst cannot be squeezed
-  // out of admission by search floods, nor vice versa).
-  if (policy.max_queued_searches > 0 &&
-      queued_searches_.load(std::memory_order_relaxed) >=
-          policy.max_queued_searches) {
-    rejected_overload_.fetch_add(1, std::memory_order_relaxed);
-    throw Overloaded("AsyncAmIndex: search class at queue share " +
-                     std::to_string(policy.max_queued_searches));
-  }
   const bool ahead = placed_ahead(request);
   check_submit_deadline(request, ahead);
   const bool pinned = request.ordinal.has_value();
   pending.ordinal = pinned ? *request.ordinal : serial_;
-  // Ahead-of-write placement trades the epoch wait away: the search
-  // runs against whatever state the index holds when dispatched (see
-  // Pending::kNoEpochWait). FIFO placement keeps the v1 epoch tag and
-  // with it the bit-identical submission-order guarantee.
-  pending.write_epoch = ahead
-                            ? Pending::kNoEpochWait
-                            : writes_admitted_.load(std::memory_order_relaxed);
   pending.request = std::move(request);
   pending.promise.emplace();
   std::future<SearchResponse> future = pending.promise->get_future();
   // Pushers all hold submit_mutex_, so a failed push can only mean the
   // queue is genuinely at depth (pops only make room) — admission
-  // control, with the serial untouched.
+  // control, with the serial untouched. A placed search lands ahead of
+  // queued writes and so runs against the pre-write state; FIFO
+  // placement keeps the bit-identical submission-order guarantee.
   const bool pushed =
       ahead ? queue_.try_push_before(
                   std::move(pending),
@@ -198,7 +164,6 @@ std::future<SearchResponse> AsyncAmIndex::submit(SearchRequest request) {
                      std::to_string(options_.queue_depth));
   }
   if (!pinned) ++serial_;
-  ++searches_admitted_;
   queued_searches_.fetch_add(1, std::memory_order_relaxed);
   submitted_.fetch_add(1, std::memory_order_relaxed);
   return future;
@@ -215,18 +180,10 @@ std::future<WriteReceipt> AsyncAmIndex::admit_write(Pending pending) {
     throw Overloaded("AsyncAmIndex: request queue at depth " +
                      std::to_string(options_.queue_depth));
   }
-  // Write-class queue share (see AdmissionPolicy): bounds how much of
-  // the queue a bulk-write burst may hold.
-  if (options_.admission.max_queued_writes > 0 &&
-      queued_writes_.load(std::memory_order_relaxed) >=
-          options_.admission.max_queued_writes) {
-    writes_rejected_overload_.fetch_add(1, std::memory_order_relaxed);
-    throw Overloaded("AsyncAmIndex: write class at queue share " +
-                     std::to_string(options_.admission.max_queued_writes));
-  }
-  // Journaled at epoch-assignment time, under submit_mutex_: the log
-  // order is the write-epoch order is the apply order, so replay
-  // reproduces the exact serialized sequence the dispatchers applied.
+  // Journaled under submit_mutex_ in admission order. Writes are always
+  // appended to the queue and the dispatcher serves it in order, so the
+  // log order is the apply order and replay reproduces the exact
+  // serialized sequence the dispatcher applied.
   if (options_.wal != nullptr) {
     switch (pending.kind) {
       case Pending::Kind::kRemove:
@@ -240,8 +197,6 @@ std::future<WriteReceipt> AsyncAmIndex::admit_write(Pending pending) {
         break;
     }
   }
-  pending.write_epoch = writes_admitted_.load(std::memory_order_relaxed);
-  pending.searches_before = searches_admitted_;
   pending.write_promise.emplace();
   std::future<WriteReceipt> future = pending.write_promise->get_future();
   queue_.try_push(std::move(pending));
@@ -357,26 +312,15 @@ std::vector<std::future<SearchResponse>> AsyncAmIndex::submit_batch(
                      " exceeds queue depth " +
                      std::to_string(options_.queue_depth));
   }
-  // Class share, all-or-nothing like the capacity check. Batches are
-  // always FIFO-placed and never submit-shed on deadline (an estimate
-  // that rejects one element would have to reject the whole batch);
-  // per-request deadlines still shed at dispatch.
-  if (options_.admission.max_queued_searches > 0 &&
-      queued_searches_.load(std::memory_order_relaxed) + requests.size() >
-          options_.admission.max_queued_searches) {
-    rejected_overload_.fetch_add(requests.size(), std::memory_order_relaxed);
-    throw Overloaded(
-        "AsyncAmIndex: batch of " + std::to_string(requests.size()) +
-        " exceeds search queue share " +
-        std::to_string(options_.admission.max_queued_searches));
-  }
+  // Batches are always FIFO-placed and never submit-shed on deadline
+  // (an estimate that rejects one element would have to reject the
+  // whole batch); per-request deadlines still shed at dispatch.
   std::uint64_t next = serial_;
   for (const auto& request : requests) {
     Pending pending;
     pending.submitted = now;
     pending.request = request;
     pending.ordinal = request.ordinal ? *request.ordinal : next++;
-    pending.write_epoch = writes_admitted_.load(std::memory_order_relaxed);
     pending.promise.emplace();
     futures.push_back(pending.promise->get_future());
     // Cannot fail: capacity was checked under the same mutex all
@@ -384,7 +328,6 @@ std::vector<std::future<SearchResponse>> AsyncAmIndex::submit_batch(
     queue_.try_push(std::move(pending));
   }
   serial_ = next;
-  searches_admitted_ += requests.size();
   queued_searches_.fetch_add(requests.size(), std::memory_order_relaxed);
   submitted_.fetch_add(requests.size(), std::memory_order_relaxed);
   return futures;
@@ -399,12 +342,10 @@ void AsyncAmIndex::shutdown() {
     closing_.store(true, std::memory_order_release);
     final_serial = serial_;
   }
-  // Drain mode: pushes now fail, but the dispatchers keep popping until
+  // Drain mode: pushes now fail, but the dispatcher keeps popping until
   // the queue is empty — every accepted future completes.
   queue_.close();
-  for (auto& dispatcher : dispatchers_) {
-    if (dispatcher.joinable()) dispatcher.join();
-  }
+  dispatcher_.join();
   // Barrier: straggler submit validators hold validate_mutex_ shared
   // while reading the index; wait them out (new ones bail on closing_)
   // before the index can go back to synchronous mutators.
@@ -412,7 +353,7 @@ void AsyncAmIndex::shutdown() {
   // Hand the advanced serial back while still owning the index (the
   // reverse order would let a concurrent re-wrap seed from the stale
   // serial — and make the guarded setter throw out of a destructor),
-  // then release it back to synchronous use. The dispatchers are
+  // then release it back to synchronous use. The dispatcher is
   // drained and joined, so this wrapper is the sole serialized actor —
   // assert the mutation capability for the unguarded setter.
   index_.assert_async_serialized();
@@ -457,10 +398,10 @@ ServeStats AsyncAmIndex::stats() const {
 }
 
 void AsyncAmIndex::dispatch_loop() {
-  // Occupancy accounting: a popped op leaves the queue for good (a
-  // carried-over op was already popped), so decrement exactly once at
-  // each pop site — the counters feed admission shares and the submit
-  // wait estimate, where "in a dispatcher's hands" no longer queues.
+  // Occupancy accounting: a popped op leaves the queue for good, so
+  // decrement exactly once at each pop site — the counters feed the
+  // submit wait estimate, where "in the dispatcher's hands" no longer
+  // queues.
   const auto note_popped = [this](const Pending& popped) {
     if (popped.kind == Pending::Kind::kSearch) {
       queued_searches_.fetch_sub(1, std::memory_order_relaxed);
@@ -469,18 +410,10 @@ void AsyncAmIndex::dispatch_loop() {
     }
   };
   std::vector<Pending> batch;
-  Pending carry;
-  bool have_carry = false;
   for (;;) {
     Pending first;
-    if (have_carry) {
-      first = std::move(carry);
-      have_carry = false;
-    } else if (queue_.pop(first)) {
-      note_popped(first);
-    } else {
-      break;  // closed and drained; nothing carried over
-    }
+    if (!queue_.pop(first)) break;  // closed and drained
+    note_popped(first);
     if (first.kind != Pending::Kind::kSearch) {
       serve_write(first);
       continue;
@@ -490,11 +423,9 @@ void AsyncAmIndex::dispatch_loop() {
     // Coalesce: take whatever is already queued, then — if the batch is
     // still short and a linger is configured — wait for stragglers. The
     // deadline is anchored at the first pop so a trickle of arrivals
-    // cannot stall dispatch indefinitely. A batch never spans a write
-    // boundary: a popped write — or a search from a later write epoch,
-    // possible when another dispatcher holds the intervening write — is
-    // carried over and served after this batch, preserving submission
-    // order within this dispatcher.
+    // cannot stall dispatch indefinitely. The batch stops at the first
+    // write, which applies right after it: the queue executes in order.
+    std::optional<Pending> write;
     const auto deadline =
         Clock::now() + std::chrono::microseconds(options_.max_wait_us);
     while (batch.size() < options_.max_batch) {
@@ -505,43 +436,34 @@ void AsyncAmIndex::dispatch_loop() {
         }
       }
       note_popped(next);
-      if (next.kind != Pending::Kind::kSearch ||
-          next.write_epoch != batch.front().write_epoch) {
-        carry = std::move(next);
-        have_carry = true;
+      if (next.kind != Pending::Kind::kSearch) {
+        write = std::move(next);
         break;
       }
       batch.push_back(std::move(next));
     }
     serve_batch(batch);
+    if (write) serve_write(*write);
   }
 }
 
 void AsyncAmIndex::serve_write(Pending& pending) {
-  // Its turn comes when every write admitted before it has applied and
-  // every search admitted before it has completed; searches of later
-  // epochs are themselves waiting for this write to apply.
-  {
-    util::MutexLock lock(order_mutex_);
-    order_cv_.wait(order_mutex_, [&]() REQUIRES(order_mutex_) {
-      return writes_applied_ == pending.write_epoch &&
-             searches_completed_ >= pending.searches_before;
-    });
-  }
-  // Queue wait ends where work can begin — after the ordering wait,
-  // matching serve_batch's definition so the two classes' reservoirs
-  // (and the regression gate over them) measure one thing.
   const auto apply_start = Clock::now();
   write_queue_wait_us_.record(us_between(pending.submitted, apply_start));
   WriteReceipt receipt;
   std::exception_ptr error;
   try {
-    // Exclusive against submit-time validators; in-flight searches are
-    // excluded by the epoch wait above. The do_* cores bypass the
+    // Exclusive against submit-time validators, which read the state
+    // this write changes; searches run on this thread and need no
+    // exclusion. The count advances in the same hold, so a validator
+    // sees count and state change together — even when the write
+    // fails, since a throwing write is a no-op on the index, exactly as
+    // in the synchronous sequence. The do_* cores bypass the
     // synchronous-mutation guard — this queue provides the
     // serialization that guard exists to enforce, which is exactly
     // what the capability assertion below tells the static analysis.
     util::WriterMutexLock guard(validate_mutex_);
+    ++writes_applied_;
     index_.assert_async_serialized();
     switch (pending.kind) {
       case Pending::Kind::kRemove:
@@ -557,14 +479,6 @@ void AsyncAmIndex::serve_write(Pending& pending) {
   } catch (...) {
     error = std::current_exception();
   }
-  // The epoch advances even when the write failed: a throwing write is
-  // a no-op on the index, exactly as in the synchronous sequence, and
-  // later operations must not wait for it forever.
-  {
-    util::MutexLock lock(order_mutex_);
-    ++writes_applied_;
-  }
-  order_cv_.notify_all();
   note_service(us_between(apply_start, Clock::now()), 1);
   write_end_to_end_us_.record(us_between(pending.submitted, Clock::now()));
   writes_served_.fetch_add(1, std::memory_order_relaxed);
@@ -576,27 +490,13 @@ void AsyncAmIndex::serve_write(Pending& pending) {
 }
 
 void AsyncAmIndex::serve_batch(std::vector<Pending>& batch) {
-  // Wait for the batch's epoch: every write submitted before these
-  // searches must have applied (writes in turn wait for older searches,
-  // so the pair of gates serializes execution in submission order).
-  // Priority-placed batches carry the kNoEpochWait sentinel and skip
-  // the wait — that is the placement's contract; the shared lock below
-  // still keeps their execution disjoint from write application.
-  if (batch.front().write_epoch != Pending::kNoEpochWait) {
-    util::MutexLock lock(order_mutex_);
-    order_cv_.wait(order_mutex_, [&]() REQUIRES(order_mutex_) {
-      return writes_applied_ == batch.front().write_epoch;
-    });
-  }
   const auto dispatch_start = Clock::now();
-  const std::size_t admitted = batch.size();
 
   // Dispatch-time deadline shed: a request whose measured queue wait
   // already exceeds its budget is failed with DeadlineExceeded instead
   // of burning backend time on an answer nobody is waiting for. Shed
   // requests are counted, not timed (the reservoirs summarize served
-  // traffic), and still count as completed searches below — a write
-  // waiting on searches admitted before it must not deadlock on sheds.
+  // traffic).
   std::size_t kept = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const std::uint64_t deadline = batch[i].request.submit.deadline_us;
@@ -613,52 +513,24 @@ void AsyncAmIndex::serve_batch(std::vector<Pending>& batch) {
     ++kept;
   }
   batch.resize(kept);
-
-  // Completion unblocks any write waiting on searches admitted before
-  // it (notified on every exit path below; counts sheds too).
-  const auto note_completed = [&] {
-    {
-      util::MutexLock lock(order_mutex_);
-      searches_completed_ += admitted;
-    }
-    order_cv_.notify_all();
-  };
-  if (batch.empty()) {
-    note_completed();
-    return;
-  }
+  if (batch.empty()) return;
 
   for (const auto& pending : batch) {
     queue_wait_us_.record(us_between(pending.submitted, dispatch_start));
   }
   batches_.fetch_add(1, std::memory_order_relaxed);
-  std::uint64_t prev_max = max_batch_.load(std::memory_order_relaxed);
-  while (batch.size() > prev_max &&
-         !max_batch_.compare_exchange_weak(prev_max, batch.size(),
-                                           std::memory_order_relaxed)) {
+  if (batch.size() > max_batch_.load(std::memory_order_relaxed)) {
+    max_batch_.store(batch.size(), std::memory_order_relaxed);
   }
 
-  // Backend execution holds validate_mutex_ shared: epoch-ordered
-  // batches never overlap write application anyway (the order gates
-  // exclude them), but a priority-placed batch can complete before an
-  // older epoch's searches and thereby satisfy a write's
-  // searches_before wait early — the shared lock keeps that write's
-  // exclusive application off the backend until every in-flight search
-  // has left it. Readers share, so batch concurrency is unchanged.
   if (batch.size() == 1) {
     auto& pending = batch.front();
     try {
-      SearchResponse response;
-      {
-        util::ReaderMutexLock guard(validate_mutex_);
-        response = index_.serve_at(pending.request, pending.ordinal);
-      }
-      fulfill(pending, std::move(response));
+      fulfill(pending, index_.serve_at(pending.request, pending.ordinal));
     } catch (...) {
       fail(pending, std::current_exception());
     }
     note_service(us_between(dispatch_start, Clock::now()), 1);
-    note_completed();
     return;
   }
 
@@ -671,11 +543,8 @@ void AsyncAmIndex::serve_batch(std::vector<Pending>& batch) {
     ordinals.push_back(pending.ordinal);
   }
   try {
-    std::vector<SearchResponse> responses;
-    {
-      util::ReaderMutexLock guard(validate_mutex_);
-      responses = index_.serve_batch_at(requests, ordinals);
-    }
+    std::vector<SearchResponse> responses =
+        index_.serve_batch_at(requests, ordinals);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       fulfill(batch[i], std::move(responses[i]));
     }
@@ -685,22 +554,16 @@ void AsyncAmIndex::serve_batch(std::vector<Pending>& batch) {
     // a first service) and fail only the futures that themselves throw.
     for (std::size_t i = 0; i < batch.size(); ++i) {
       try {
-        SearchResponse response;
-        {
-          util::ReaderMutexLock guard(validate_mutex_);
-          response = index_.serve_at(
-              SearchRequest{std::move(requests[i].query), requests[i].k,
-                            std::nullopt},
-              ordinals[i]);
-        }
-        fulfill(batch[i], std::move(response));
+        fulfill(batch[i],
+                index_.serve_at(SearchRequest{std::move(requests[i].query),
+                                              requests[i].k, std::nullopt},
+                                ordinals[i]));
       } catch (...) {
         fail(batch[i], std::current_exception());
       }
     }
   }
   note_service(us_between(dispatch_start, Clock::now()), batch.size());
-  note_completed();
 }
 
 void AsyncAmIndex::fulfill(Pending& pending, SearchResponse response) {

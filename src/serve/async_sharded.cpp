@@ -22,7 +22,7 @@ AsyncShardedIndex::AsyncShardedIndex(ShardedIndex& sharded, AsyncOptions base,
     for (std::size_t s = 0; s < sharded_.shard_count(); ++s) {
       AsyncOptions options = base;
       options.wal = shard_wals.empty() ? nullptr : shard_wals[s];
-      // Each session claims its shard and spawns its own dispatchers —
+      // Each session claims its shard and spawns its own dispatcher —
       // the shard-local queues that keep one shard's writes out of
       // every other shard's way.
       sessions_.push_back(

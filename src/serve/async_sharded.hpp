@@ -1,13 +1,13 @@
 // AsyncShardedIndex — shard-local write queues over a ShardedIndex.
 //
 // One AsyncAmIndex serializes every write against every search through
-// a single queue's write epochs: a burst of updates anywhere stalls
-// p95 search latency everywhere. AsyncShardedIndex gives each shard its
-// own AsyncAmIndex session, so a write to shard A never stalls searches
-// that only touch shard B — while a scatter-gather search still orders
-// against writes on every shard it reads, because its per-shard
-// sub-requests ride those shards' queues and write epochs. Batch
-// coalescing stays per-shard for the same reason.
+// a single in-order queue: a burst of updates anywhere stalls p95
+// search latency everywhere. AsyncShardedIndex gives each shard its own
+// AsyncAmIndex session — one queue and one dispatcher per shard — so a
+// write to shard A never stalls searches that only touch shard B, while
+// a scatter-gather search still orders against writes on every shard it
+// reads, because its per-shard sub-requests ride those shards' queues.
+// Batch coalescing stays per-shard for the same reason.
 //
 // Ordinals: the fleet keeps ONE search ordinal stream (seeded from the
 // ShardedIndex's query serial at construction, handed back at
@@ -43,8 +43,8 @@
 //
 // Durability: pass one Wal per shard (DurableShardedIndex::shard_wal)
 // and each shard session journals its sub-ops — in shard-local
-// coordinates, at epoch-assignment time — into its own shard log,
-// exactly as AsyncAmIndex + DurableIndex compose for one index.
+// coordinates, at admission — into its own shard log, exactly as
+// AsyncAmIndex + DurableIndex compose for one index.
 #pragma once
 
 #include <cstddef>
@@ -112,7 +112,7 @@ class AsyncShardedIndex {
   /// Claims the fleet and every shard, seeds the ordinal stream from the
   /// quiescent ShardedIndex, and opens one AsyncAmIndex per
   /// shard with `base` options (each shard gets its own queue,
-  /// dispatchers, and coalescing). `shard_wals`, when non-empty, must
+  /// dispatcher, and coalescing). `shard_wals`, when non-empty, must
   /// hold one Wal per shard (nullptr entries allowed); each shard
   /// session journals into its own log. The ShardedIndex (and the Wals)
   /// must outlive this object.

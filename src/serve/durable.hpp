@@ -6,8 +6,8 @@
 // recovery (snapshot + replay) is bit-identical, currents and hits, to
 // the uninterrupted run. Asynchronous sessions journal through the same
 // log: hand wal() to AsyncAmIndex (AsyncOptions::wal), which appends at
-// epoch-assignment time under its submit mutex, so log order equals
-// write-epoch order equals apply order.
+// admission under its submit mutex and serves its queue in order, so
+// log order equals apply order.
 //
 //   serve::EngineIndex index(options);
 //   serve::DurableIndex durable(index, "/data/ferex");   // recovers

@@ -1,6 +1,7 @@
 #include "serve/durable_sharded.hpp"
 
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 
 #include "encode/serialize.hpp"
@@ -98,8 +99,14 @@ DurableShardedIndex::DurableShardedIndex(ShardedIndex& fleet, std::string dir,
     : fleet_(fleet), dir_(std::move(dir)), options_(options) {
   // Per-shard compaction triggers would rewrite a shard's local layout
   // behind the fleet's routing bookkeeping; fleet-level compaction is a
-  // checkpoint-shaped operation this layer does not plumb yet.
-  options_.compact_free_fraction = 0.0;
+  // checkpoint-shaped operation this layer does not plumb yet. Refuse
+  // the trigger before touching the directory, so a caller who asked
+  // for compaction is told it will not happen.
+  if (options_.compact_free_fraction != 0.0) {
+    throw std::invalid_argument(
+        "DurableShardedIndex: compact_free_fraction must be 0 (per-shard "
+        "compaction would move rows behind the fleet's routing)");
+  }
 
   std::vector<std::uint8_t> bytes;
   const bool have_manifest = util::read_file(manifest_path(), bytes);

@@ -37,8 +37,8 @@
 // order equal apply order, and with SyncPolicy::kEveryAppend a mutation
 // is on stable storage before it returns — commit still implies
 // durable; a crash mid-call loses only that unacknowledged op. The
-// async path keeps journal-before-apply (AsyncAmIndex appends at epoch
-// assignment): hand shard_wals() to AsyncShardedIndex, whose submit-
+// async path keeps journal-before-apply (AsyncAmIndex appends at
+// admission): hand shard_wals() to AsyncShardedIndex, whose submit-
 // time full validation guarantees accepted sub-ops never fail.
 //
 // store() journals configure + store per shard, except for a shard it
@@ -71,7 +71,11 @@ class DurableShardedIndex {
   /// state is a cold start: the manifest is written first, so a crash
   /// anywhere in construction recovers. The fleet must be freshly
   /// constructed (recovery replays into it); to persist a fleet that
-  /// already holds rows, wrap it and call checkpoint().
+  /// already holds rows, wrap it and call checkpoint(). Throws
+  /// std::invalid_argument, before `dir` is touched, when
+  /// options.compact_free_fraction is nonzero: the fleet supports no
+  /// compaction trigger (a shard compacting on its own would move rows
+  /// behind the fleet's routing).
   DurableShardedIndex(ShardedIndex& fleet, std::string dir,
                       DurableOptions options = {});
 

@@ -91,7 +91,7 @@ class EmptyIndex : public RejectedRequest {
 /// Typed rejection of a synchronous mutation (configure/store/insert/
 /// remove/update — and ordinal-consuming synchronous serving) while an
 /// AsyncAmIndex owns the index: the async front door owns ordinal
-/// accounting and its dispatchers read the index concurrently, so a
+/// accounting and its dispatcher reads the index concurrently, so a
 /// direct mutation would silently race them. Route the write through
 /// AsyncAmIndex::submit_remove/submit_update instead, or shut the async
 /// session down first.

@@ -3,9 +3,10 @@
 // Every mutation (configure / store / insert / remove / update) is
 // journaled as one CRC-framed record *before* it applies, so a crash at
 // any instant loses at most unacknowledged work and recovery replays the
-// exact serialized order. Async writes are journaled at epoch-assignment
-// time (inside AsyncAmIndex::admit_write, under the submit mutex), so
-// the log order equals the write-epoch order equals the apply order.
+// exact serialized order. Async writes are journaled at admission
+// (inside AsyncAmIndex::admit_write, under the submit mutex), and the
+// session's one dispatcher applies them in that order, so the log order
+// equals the apply order.
 //
 // On-disk layout (all little-endian):
 //

@@ -2,9 +2,9 @@
 // enforcement for the serving stack.
 //
 // The concurrency obligations this repo carries (queue mutex + CV
-// protocols, the worker pool's submit/job split, AsyncAmIndex's write
-// epochs and shared/exclusive validation lock, the AmIndex mutation
-// guard) were previously enforced only at runtime: the TSan CI leg,
+// protocols, the worker pool's submit/job split, AsyncAmIndex's
+// shared/exclusive validation lock, the AmIndex mutation guard) were
+// previously enforced only at runtime: the TSan CI leg,
 // typed errors, and tests. These macros make the protocols part of the
 // type system — a clang build with `-Wthread-safety -Werror` (the CI
 // `static-analysis` job, or `-DFEREX_THREAD_SAFETY=ON` locally) rejects

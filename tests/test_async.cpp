@@ -468,21 +468,5 @@ TEST(AsyncLifecycleT, ConcurrentSubmittersAllComplete) {
   EXPECT_EQ(async_index.query_serial(), futures.size());
 }
 
-TEST(AsyncLifecycleT, MultipleDispatchersServeEverythingBitIdentically) {
-  GatedIndex backend;
-  AsyncOptions options = immediate_options(/*queue_depth=*/128,
-                                           /*max_batch=*/4);
-  options.dispatchers = 3;
-  AsyncAmIndex async_index(backend, options);
-  std::vector<std::future<SearchResponse>> futures;
-  for (int i = 0; i < 64; ++i) futures.push_back(async_index.submit(req({0, 1})));
-  // Ordinals were assigned in submission order, so response i carries i
-  // regardless of which dispatcher served it.
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    EXPECT_EQ(futures[i].get().hits.front().sensed_current_a,
-              static_cast<double>(i));
-  }
-}
-
 }  // namespace
 }  // namespace ferex::serve

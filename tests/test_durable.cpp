@@ -688,7 +688,7 @@ TEST_P(DurableParityT, WatermarkMakesReplayIdempotent) {
   expect_same_state(*live, *recovered, queries, probe);
 }
 
-TEST_P(DurableParityT, AsyncSessionJournalsAtEpochAssignment) {
+TEST_P(DurableParityT, AsyncSessionJournalsInAdmissionOrder) {
   const auto [backend, fidelity] = GetParam();
   const auto db = data::random_int_vectors(6, 5, 4, 1018);
   const auto queries = data::random_int_vectors(4, 5, 4, 1019);
@@ -702,7 +702,6 @@ TEST_P(DurableParityT, AsyncSessionJournalsAtEpochAssignment) {
 
   {
     serve::AsyncOptions options;
-    options.dispatchers = 2;
     options.max_batch = 4;
     options.wal = &durable.wal();
     serve::AsyncAmIndex async_index(*live, options);
@@ -911,8 +910,8 @@ TEST(KillChildT, RecoversBitIdenticalAfterHardProcessDeath) {
     if (child == 0) {
       // In the child: real process death via _exit — no unwinding, no
       // destructors, exactly a kill at the record boundary. Async
-      // session so the journal-at-epoch-assignment path is the one
-      // being killed.
+      // session so the journal-at-admission path is the one being
+      // killed.
       util::failpoint_arm("wal.append.after_record", nth, [] { ::_exit(0); });
       serve::EngineIndex index{core::FerexOptions{}};
       serve::DurableIndex durable(index, dir.path());

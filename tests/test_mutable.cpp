@@ -13,7 +13,7 @@
 //     EmptyIndex error when nothing is live;
 //   * async writes serialize against searches by submission order —
 //     responses equal the synchronous sequence regardless of
-//     coalescing or dispatcher count.
+//     coalescing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -587,9 +587,6 @@ TEST(ServeMutT, SynchronousMutationWhileServedThrowsTyped) {
     // writes outside the wrapper's serialization.
     EXPECT_THROW(index.search_at({q, 1, std::nullopt}, 0),
                  serve::MutationWhileServed);
-    const std::uint64_t ordinals[] = {0};
-    EXPECT_THROW(index.search_batch_at(requests, ordinals),
-                 serve::MutationWhileServed);
     EXPECT_THROW(index.set_query_serial(0), serve::MutationWhileServed);
     // The async path itself stays open for both reads and writes.
     EXPECT_EQ(async_index.submit({q, 1, std::nullopt}).get().hits.size(),
@@ -658,11 +655,10 @@ TEST_P(AsyncWriteParityT, InterleavedWritesMatchTheSynchronousSequence) {
   };
   sync_ops(*sync_index);
 
-  // The async run submits the same sequence up front: multiple
-  // dispatchers, small batches, and a linger force coalescing around
-  // the write barriers, yet responses must be bit-identical.
+  // The async run submits the same sequence up front: small batches
+  // and a linger force coalescing around the write barriers, yet
+  // responses must be bit-identical.
   serve::AsyncOptions options;
-  options.dispatchers = 3;
   options.max_batch = 4;
   options.max_wait_us = 200;
   serve::AsyncAmIndex async_index(*async_backend, options);
@@ -710,7 +706,7 @@ INSTANTIATE_TEST_SUITE_P(
              (fidelity == SearchFidelity::kCircuit ? "Circuit" : "Nominal");
     });
 
-TEST(AsyncWriteT, FailedWriteSurfacesThroughFutureAndAdvancesTheEpoch) {
+TEST(AsyncWriteT, FailedWriteSurfacesThroughFutureAndMutatesNothing) {
   serve::EngineIndex index;
   index.configure(DistanceMetric::kHamming, 2);
   const auto db = data::random_int_vectors(4, 4, 4, 933);
@@ -782,7 +778,7 @@ TEST(AsyncWriteT, SecondWrapperOverAnOwnedIndexThrows) {
 
   serve::AsyncAmIndex first(index);
   // Exclusive ownership: a second wrapper would serve duplicate
-  // ordinals and race the first one's dispatchers.
+  // ordinals and race the first one's dispatcher.
   EXPECT_THROW({ serve::AsyncAmIndex second(index); }, std::logic_error);
   // The failed claim left the first session fully intact.
   EXPECT_EQ(first.submit({q, 1, std::nullopt}).get().hits.size(), 1u);
@@ -795,7 +791,7 @@ TEST(AsyncWriteT, SecondWrapperOverAnOwnedIndexThrows) {
 
 TEST(AsyncWriteT, ConcurrentSearchersAndWritersDrainCleanly) {
   // The TSan target: several threads submitting searches race a thread
-  // submitting updates; the epoch gates serialize execution, every
+  // submitting updates; the in-order queue serializes execution, every
   // future completes, and no access to the index is unsynchronized.
   serve::EngineIndex index;
   index.configure(DistanceMetric::kHamming, 2);
@@ -804,7 +800,6 @@ TEST(AsyncWriteT, ConcurrentSearchersAndWritersDrainCleanly) {
   const auto queries = data::random_int_vectors(4, 4, 4, 938);
 
   serve::AsyncOptions options;
-  options.dispatchers = 2;
   options.max_batch = 4;
   options.max_wait_us = 50;
   options.queue_depth = 4096;

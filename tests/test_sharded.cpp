@@ -984,6 +984,19 @@ TEST(DurableShardedMismatchT, LostShardDirectoryAndLostManifestAreTyped) {
   }
 }
 
+TEST(DurableShardedMismatchT, CompactionTriggerIsRejectedBeforeAnyWrite) {
+  // The fleet has no compaction trigger: asking for one is an error,
+  // raised before the directory holds a manifest or any shard state.
+  ScopedDir dir;
+  serve::ShardedIndex fleet{
+      make_options(Backend::kEngine, SearchFidelity::kNominal, 2, 2)};
+  serve::DurableOptions options;
+  options.compact_free_fraction = 0.3;
+  EXPECT_THROW(serve::DurableShardedIndex(fleet, dir.path(), options),
+               std::invalid_argument);
+  EXPECT_TRUE(std::filesystem::is_empty(dir.path()));
+}
+
 TEST(DurableShardedMismatchT, DamagedManifestIsTyped) {
   const auto db = data::random_int_vectors(6, 5, 4, 2055);
   const auto options =
