@@ -5,8 +5,9 @@
 //   * reference   — the retained reference kernel
 //                   (CrossbarArray::search_reference): biases and
 //                   per-device factors re-derived per query, then the
-//                   same row solve;
-//   * optimized   — the cached-table flat kernel (CrossbarArray::search);
+//                   same row solve with the portable row pass;
+//   * optimized   — the cached-table flat kernel (CrossbarArray::search),
+//                   with the row pass the header line names;
 //   * intra-par   — the flat kernel with rows fanned across the worker
 //                   pool (equals optimized on 1-core hosts);
 //   * engine      — FerexEngine::search_hits_at end to end (kernel + LTA
@@ -119,8 +120,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf("bench_search_hotpath: %zu queries per mode, "
-              "hardware_concurrency=%u\n",
-              n_queries, std::thread::hardware_concurrency());
+              "hardware_concurrency=%u, row pass %s\n",
+              n_queries, std::thread::hardware_concurrency(),
+              circuit::row_pass_isa());
 
   std::vector<benchjson::Record> records;
   for (const auto& g : geometries) {

@@ -1,7 +1,6 @@
 #include "circuit/crossbar.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -34,30 +33,54 @@ inline double gate_factor_for(double vgs_v, double alpha) {
 constexpr int kMaxSclSteps = 60;
 constexpr double kSclToleranceV = 1e-7;
 
-// Two-lane double vectors (GCC/Clang vector extension). At the baseline
-// x86-64 ISA they are SSE2 registers; every lane operation is the IEEE
-// operation the scalar code would do, so results do not depend on how
-// the compiler schedules them. Selects go through bit masks, which both
-// compilers accept and which compile without branches.
-using Vec2 = double __attribute__((vector_size(16)));
-using Mask2 = std::int64_t __attribute__((vector_size(16)));
+// W-lane double vectors (GCC/Clang vector extension) and the integer
+// masks their comparisons give. Every lane operation is the IEEE
+// operation the scalar code would do, so a lane's result depends neither
+// on W nor on how the compiler schedules it. Selects go through bit
+// masks, which both compilers accept and which compile without branches.
+//
+// W = 2 is an SSE2 register at the baseline x86-64 ISA; W = 4 is one AVX
+// register and is only instantiated inside the target("avx2") pass. A
+// 32-byte vector passed or returned by value changes the ABI of a
+// function compiled without AVX (-Wpsabi), so the helpers below take
+// vectors by reference and hand results back through out-parameters,
+// and reinterpret bits with __builtin_bit_cast, which is not a call.
+template <int W>
+struct Lanes;
+template <>
+struct Lanes<2> {
+  using Vec = double __attribute__((vector_size(16)));
+  using Mask = std::int64_t __attribute__((vector_size(16)));
+};
+template <>
+struct Lanes<4> {
+  using Vec = double __attribute__((vector_size(32)));
+  using Mask = std::int64_t __attribute__((vector_size(32)));
+};
 
-inline Vec2 splat(double x) { return Vec2{x, x}; }
-inline Vec2 load2(const double* p) {
-  Vec2 v{};
-  std::memcpy(&v, p, sizeof v);
-  return v;
+template <int W>
+[[gnu::always_inline]] inline void splat(double x,
+                                         typename Lanes<W>::Vec& out) {
+  for (int i = 0; i < W; ++i) out[i] = x;
 }
-/// Lane-wise `m ? a : b` for comparison masks (all-ones or all-zeros).
-inline Vec2 select(Mask2 m, Vec2 a, Vec2 b) {
-  return std::bit_cast<Vec2>((std::bit_cast<Mask2>(a) & m) |
-                             (std::bit_cast<Mask2>(b) & ~m));
+template <typename Vec>
+[[gnu::always_inline]] inline void load(const double* p, Vec& out) {
+  std::memcpy(&out, p, sizeof out);
 }
-/// Lane-wise `m ? a : 0`.
-inline Vec2 keep(Mask2 m, Vec2 a) {
-  return std::bit_cast<Vec2>(std::bit_cast<Mask2>(a) & m);
+/// Lane-wise `out = m ? a : b` for comparison masks (all-ones or
+/// all-zeros).
+template <typename Vec, typename Mask>
+[[gnu::always_inline]] inline void select(const Mask& m, const Vec& a,
+                                          const Vec& b, Vec& out) {
+  out = __builtin_bit_cast(Vec, (__builtin_bit_cast(Mask, a) & m) |
+                                    (__builtin_bit_cast(Mask, b) & ~m));
 }
-inline Mask2 less(Vec2 a, Vec2 b) { return std::bit_cast<Mask2>(a < b); }
+/// Lane-wise `out = m ? a : 0`.
+template <typename Vec, typename Mask>
+[[gnu::always_inline]] inline void keep(const Mask& m, const Vec& a,
+                                        Vec& out) {
+  out = __builtin_bit_cast(Vec, __builtin_bit_cast(Mask, a) & m);
+}
 
 /// One row of devices under one query: the query's per-column biases and
 /// the row's per-device state, all indexed by device column.
@@ -86,60 +109,83 @@ struct RowPass {
 };
 
 /// Per-pass constants, splatted once per pass.
+template <int W>
 struct PassConstants {
-  Vec2 v_scl, scl_factor, isat, min_leak, alpha;
+  typename Lanes<W>::Vec v_scl, scl_factor, isat, min_leak, alpha;
 };
 
-// Two cells' current I and conductance G = -dI/dv with the subthreshold
-// exponential in factored form (see the header comment): gate_factor =
-// exp(Vgs*a), vth_factor = exp(-Vth*a), scl_factor = exp(-Vscl*a). Per
-// cell,
+// W cells' current I and conductance G = -dI/dv, for devices j .. j+W-1
+// of `row`, with the subthreshold exponential in factored form (see the
+// header comment): gate_factor = exp(Vgs*a), vth_factor = exp(-Vth*a),
+// scl_factor = exp(-Vscl*a). Per cell,
 //   I = 0 when cut off (Vds_eff <= 0), else
 //     = min(Vgs_eff >= Vth ? Isat : max(term, leak), Vds_eff / R)
 // and G is 1/R ohmic, a*term subthreshold, and 0 saturated, on the
 // leakage floor or cut off. Every select takes one comparison's mask:
 // GCC 12 scalarizes a select on a combined mask into per-lane branches.
-inline void add_cells(Vec2 vgs, Vec2 vds, Vec2 vth, Vec2 inv_r, Vec2 gate,
-                      Vec2 vth_factor, const PassConstants& k, Vec2& current,
-                      Vec2& conductance) {
-  const Vec2 vgs_eff = vgs - k.v_scl;
-  const Vec2 vds_eff = vds - k.v_scl;
-  const Vec2 term = k.isat * ((gate * vth_factor) * k.scl_factor);
-  const Mask2 subthreshold = less(vgs_eff, vth);
-  const Mask2 above_floor = less(k.min_leak, term);
-  const Vec2 fet =
-      select(subthreshold, select(above_floor, term, k.min_leak), k.isat);
-  const Vec2 fet_conductance =
-      keep(subthreshold, k.alpha * keep(above_floor, term));
-  const Vec2 ohm = vds_eff * inv_r;
-  const Mask2 ohmic = less(ohm, fet);
-  const Mask2 conducting = less(Vec2{}, vds_eff);
-  current += keep(conducting, select(ohmic, ohm, fet));
-  conductance += keep(conducting, select(ohmic, inv_r, fet_conductance));
+template <int W>
+[[gnu::always_inline]] inline void add_cells(const RowDevices& row,
+                                             std::size_t j,
+                                             const PassConstants<W>& k,
+                                             typename Lanes<W>::Vec& current,
+                                             typename Lanes<W>::Vec&
+                                                 conductance) {
+  using Vec = typename Lanes<W>::Vec;
+  using Mask = typename Lanes<W>::Mask;
+  Vec vgs{}, vds{}, gate{}, vth{}, inv_r{}, vth_factor{};
+  load(row.vgs + j, vgs);
+  load(row.vds + j, vds);
+  load(row.gate_factor + j, gate);
+  load(row.vth + j, vth);
+  load(row.inv_r + j, inv_r);
+  load(row.vth_factor + j, vth_factor);
+  const Vec vgs_eff = vgs - k.v_scl;
+  const Vec vds_eff = vds - k.v_scl;
+  const Vec term = k.isat * ((gate * vth_factor) * k.scl_factor);
+  const auto subthreshold = __builtin_bit_cast(Mask, vgs_eff < vth);
+  const auto above_floor = __builtin_bit_cast(Mask, k.min_leak < term);
+  Vec fet{}, fet_conductance{};
+  select(above_floor, term, k.min_leak, fet);
+  select(subthreshold, fet, k.isat, fet);
+  keep(above_floor, term, fet_conductance);
+  keep(subthreshold, k.alpha * fet_conductance, fet_conductance);
+  const Vec ohm = vds_eff * inv_r;
+  const auto ohmic = __builtin_bit_cast(Mask, ohm < fet);
+  const auto conducting = __builtin_bit_cast(Mask, Vec{} < vds_eff);
+  Vec cell_current{}, cell_conductance{};
+  select(ohmic, ohm, fet, cell_current);
+  select(ohmic, inv_r, fet_conductance, cell_conductance);
+  keep(conducting, cell_current, cell_current);
+  keep(conducting, cell_conductance, cell_conductance);
+  current += cell_current;
+  conductance += cell_conductance;
 }
 
-// One pass over a row. Device j adds into lane j mod 4 (lanes 0-1 and
-// 2-3 are the two vectors); the lanes join as (l0 + l1) + (l2 + l3). A
-// ragged tail is zero-padded: a padded cell has Vds = 0, is cut off at
-// any v >= 0 and adds exactly +0.
-RowPass row_pass(const RowDevices& row, const CellModel& model, double v_scl,
-                 double scl_factor) {
-  const PassConstants k{splat(v_scl), splat(scl_factor), splat(model.isat_a),
-                        splat(model.min_leak_a), splat(model.alpha)};
-  Vec2 current_lo{}, current_hi{}, conductance_lo{}, conductance_hi{};
-  const auto add_block = [&](const double* vgs, const double* vds,
-                             const double* gate, const double* vth,
-                             const double* inv_r, const double* vth_factor) {
-    add_cells(load2(vgs), load2(vds), load2(vth), load2(inv_r), load2(gate),
-              load2(vth_factor), k, current_lo, conductance_lo);
-    add_cells(load2(vgs + 2), load2(vds + 2), load2(vth + 2),
-              load2(inv_r + 2), load2(gate + 2), load2(vth_factor + 2), k,
-              current_hi, conductance_hi);
-  };
+// One pass over a row in 4/W registers of W lanes. Device j adds into
+// lane j mod 4 (register (j mod 4) / W); the lanes join as
+// (l0 + l1) + (l2 + l3), so every W gives the same bits. A ragged tail
+// is zero-padded: a padded cell has Vds = 0, is cut off at any v >= 0
+// and adds exactly +0.
+template <int W>
+[[gnu::always_inline]] inline RowPass row_pass_body(const RowDevices& row,
+                                                    const CellModel& model,
+                                                    double v_scl,
+                                                    double scl_factor) {
+  using Vec = typename Lanes<W>::Vec;
+  constexpr std::size_t kRegisters = 4 / W;
+  PassConstants<W> k{};
+  splat<W>(v_scl, k.v_scl);
+  splat<W>(scl_factor, k.scl_factor);
+  splat<W>(model.isat_a, k.isat);
+  splat<W>(model.min_leak_a, k.min_leak);
+  splat<W>(model.alpha, k.alpha);
+  Vec current[kRegisters] = {};
+  Vec conductance[kRegisters] = {};
   const std::size_t full = row.count - row.count % 4;
   for (std::size_t j = 0; j < full; j += 4) {
-    add_block(row.vgs + j, row.vds + j, row.gate_factor + j, row.vth + j,
-              row.inv_r + j, row.vth_factor + j);
+    for (std::size_t r = 0; r < kRegisters; ++r) {
+      add_cells(row, j + r * W, k, current[r], conductance[r]);
+    }
   }
   if (full < row.count) {
     double tail[6][4] = {};
@@ -148,11 +194,51 @@ RowPass row_pass(const RowDevices& row, const CellModel& model, double v_scl,
     for (std::size_t s = 0; s < 6; ++s) {
       std::copy(spans[s] + full, spans[s] + row.count, tail[s]);
     }
-    add_block(tail[0], tail[1], tail[2], tail[3], tail[4], tail[5]);
+    const RowDevices padded{tail[0], tail[1], tail[2],
+                            tail[3], tail[4], tail[5], 4};
+    for (std::size_t r = 0; r < kRegisters; ++r) {
+      add_cells(padded, r * W, k, current[r], conductance[r]);
+    }
   }
-  return {(current_lo[0] + current_lo[1]) + (current_hi[0] + current_hi[1]),
-          (conductance_lo[0] + conductance_lo[1]) +
-              (conductance_hi[0] + conductance_hi[1])};
+  // The registers hold lanes 0-3 in order.
+  double i[4] = {}, g[4] = {};
+  std::memcpy(i, current, sizeof i);
+  std::memcpy(g, conductance, sizeof g);
+  return {(i[0] + i[1]) + (i[2] + i[3]), (g[0] + g[1]) + (g[2] + g[3])};
+}
+
+using RowPassFn = RowPass (*)(const RowDevices&, const CellModel&, double,
+                              double);
+
+// The portable pass: two 2-wide registers per block of four devices,
+// SSE2 at the baseline x86-64 ISA. search_reference() always runs it.
+RowPass row_pass_portable(const RowDevices& row, const CellModel& model,
+                          double v_scl, double scl_factor) {
+  return row_pass_body<2>(row, model, v_scl, scl_factor);
+}
+
+#if defined(__x86_64__)
+// The same body in one 256-bit register per block. The target adds avx2
+// alone, never fma, and the library builds with -ffp-contract=off, so no
+// multiply-add is fused and every lane rounds as in the portable pass.
+__attribute__((target("avx2"))) RowPass row_pass_avx2(
+    const RowDevices& row, const CellModel& model, double v_scl,
+    double scl_factor) {
+  return row_pass_body<4>(row, model, v_scl, scl_factor);
+}
+#endif
+
+/// The pass search() runs, chosen once per process from what the CPU
+/// supports.
+RowPassFn dispatched_row_pass() {
+  static const RowPassFn pass = []() -> RowPassFn {
+#if defined(__x86_64__)
+    __builtin_cpu_init();  // in case this first runs from a static initializer
+    if (__builtin_cpu_supports("avx2")) return &row_pass_avx2;
+#endif
+    return &row_pass_portable;
+  }();
+  return pass;
 }
 
 struct SclSolve {
@@ -161,11 +247,12 @@ struct SclSolve {
   bool converged = true;
 };
 
-// The safeguarded Newton solve (see kMaxSclSteps). One step is one pass
-// after the first; the solve converges when a step moves v by less than
-// kSclToleranceV, and reports the current at the last v it evaluated.
+// The safeguarded Newton solve (see kMaxSclSteps), each pass over the
+// row run by `row_pass`. One step is one pass after the first; the solve
+// converges when a step moves v by less than kSclToleranceV, and reports
+// the current at the last v it evaluated.
 SclSolve solve_scl(const RowDevices& row, const CellModel& model,
-                   double source_res) {
+                   double source_res, RowPassFn row_pass) {
   SclSolve solve;
   RowPass pass = row_pass(row, model, 0.0, 1.0);
   if (source_res <= 0.0) {
@@ -206,6 +293,13 @@ SclSolve solve_scl(const RowDevices& row, const CellModel& model,
 }
 
 }  // namespace
+
+const char* row_pass_isa() noexcept {
+#if defined(__x86_64__)
+  if (dispatched_row_pass() == &row_pass_avx2) return "avx2";
+#endif
+  return "portable";
+}
 
 CrossbarArray::CrossbarArray(std::size_t rows, std::size_t dims,
                              const encode::CellEncoding& encoding,
@@ -430,6 +524,7 @@ std::vector<double> CrossbarArray::search(std::span<const int> query,
   const CellModel model{config_.fet.isat_a, config_.fet.min_leak_a,
                         subvt_alpha_};
   const double source_res = source_res_ohm();
+  const RowPassFn row_pass = dispatched_row_pass();
   std::vector<double> currents(rows_);
   std::vector<SclSolve> solves(rows_);
   const auto run_row = [&](std::size_t row) {
@@ -444,7 +539,7 @@ std::vector<double> CrossbarArray::search(std::span<const int> query,
     solves[row] = solve_scl(
         {vgs.data(), vds.data(), gate_factors.data(), vth_.data() + base,
          inv_r_.data() + base, vth_factor_.data() + base, per_row},
-        model, source_res);
+        model, source_res, row_pass);
     currents[row] = solves[row].current_a;
   };
   if (parallel_rows && rows_ > 1) {
@@ -474,8 +569,9 @@ std::vector<double> CrossbarArray::search_reference(
   // Every factor re-derived from first principles instead of read from
   // the cached tables: the biases from the encoding and ladder and
   // exp(Vgs*a) per query, 1/R and exp(-Vth*a) per device per row. The
-  // solve itself is search()'s, so the two agree bit for bit by
-  // construction and any drift is a table or gather bug.
+  // solve itself is search()'s, run always with the portable pass, so the
+  // two agree bit for bit by construction and any drift is a table,
+  // gather or instruction-set bug.
   const std::size_t per_row = dims_ * fefets_per_cell_;
   std::vector<double> vgs(per_row, 0.0);
   std::vector<double> vds(per_row, 0.0);
@@ -514,7 +610,7 @@ std::vector<double> CrossbarArray::search_reference(
     currents[row] = solve_scl({vgs.data(), vds.data(), gate_factors.data(),
                                vth_.data() + base, inv_r.data(),
                                vth_factor.data(), per_row},
-                              model, source_res)
+                              model, source_res, &row_pass_portable)
                         .current_a;
   }
   return currents;

@@ -29,10 +29,15 @@
 // would leave the bracket, or would not halve the step before last,
 // bisects it instead. Each pass returns I and
 // the row conductance G = -dI/dv together, each summed in four lanes
-// (device j into lane j mod 4, joined as (l0 + l1) + (l2 + l3)).
-// search_reference() re-derives every factor and bias per query and per
-// row and then runs the same solve, so tests can assert the cached tables
-// reproduce it bit for bit.
+// (device j into lane j mod 4, joined as (l0 + l1) + (l2 + l3)). One
+// body builds two passes: a portable one in two 2-wide vectors (SSE2 at
+// the baseline x86-64 ISA) and, on x86-64, an AVX2 one in one 4-wide
+// vector. search() runs the AVX2 pass when the CPU has it
+// (row_pass_isa() names the choice); the lane order makes both give the
+// same bits. search_reference() re-derives every factor and bias per
+// query and per row and then runs the same solve with the portable pass,
+// so tests can assert the cached tables and the AVX2 pass reproduce it
+// bit for bit.
 #pragma once
 
 #include <atomic>
@@ -82,6 +87,12 @@ struct SclSolveStats {
   std::uint64_t iterations = 0;
   std::uint64_t non_converged = 0;
 };
+
+/// The instruction set of the row pass CrossbarArray::search runs in this
+/// process: "avx2" on an x86-64 CPU that has it, else "portable" (2-wide
+/// vectors at the baseline ISA). Chosen once per process from the CPU;
+/// both passes give the same bits.
+const char* row_pass_isa() noexcept;
 
 class CrossbarArray {
  public:
@@ -177,8 +188,9 @@ class CrossbarArray {
 
   /// Reference implementation of search(): biases re-derived from the
   /// encoding/ladder per query and per-device factors per row, no cached
-  /// tables. Same row solve as the optimized kernel, so the two agree bit
-  /// for bit; retained to guard the tables and the gather.
+  /// tables, and always the portable row pass. Same row solve as the
+  /// optimized kernel, so the two agree bit for bit; retained to guard
+  /// the tables, the gather and the AVX2 pass.
   std::vector<double> search_reference(std::span<const int> query) const;
 
   /// Ideal integer distance the array should report for (query, row),

@@ -2,14 +2,18 @@
 // kernels (cached bias tables + LUT + flat SoA row solve, optional
 // intra-query row/bank parallelism) must reproduce the retained
 // reference kernels bit for bit across metric x bits x fidelity x clamp
-// configurations. The ScL solve counters must account for every solve,
-// every solve must converge, and the Newton solve must agree with the
-// damped fixed-point solve it replaced wherever that one converged.
+// x row-length configurations. The reference always runs the portable
+// row pass and search() the widest one the CPU has, so on an AVX2 host
+// the same suite shows results do not depend on the instruction set.
+// The ScL solve counters must account for every solve, every solve must
+// converge, and the Newton solve must agree with the damped fixed-point
+// solve it replaced wherever that one converged.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -72,30 +76,37 @@ TEST_P(KernelEquivalence, OptimizedSearchMatchesReferenceBitForBit) {
   const device::VoltageLadder ladder(enc->ladder_levels(), 0.2,
                                      1.5 / static_cast<double>(
                                                enc->ladder_levels()));
-  util::Rng rng(7);
-  const std::size_t rows = 12, dims = 9;
-  circuit::CrossbarArray array(rows, dims, *enc, ladder, config, rng);
-  const auto db =
-      data::random_int_vectors(rows, dims, static_cast<int>(enc->stored_count()), 11);
-  for (std::size_t r = 0; r < rows; ++r) array.program_row(r, db[r]);
+  // With 2, 3 or 4 FeFETs per cell these rows hold 2-4 devices (shorter
+  // than one four-lane block), 6-12 and 18-36: every remainder mod 4 of
+  // the zero-padded tail, with the clamp on and off.
+  for (const std::size_t dims : {1, 3, 9}) {
+    SCOPED_TRACE("dims " + std::to_string(dims));
+    util::Rng rng(7);
+    const std::size_t rows = 12;
+    circuit::CrossbarArray array(rows, dims, *enc, ladder, config, rng);
+    const auto db = data::random_int_vectors(
+        rows, dims, static_cast<int>(enc->stored_count()), 11);
+    for (std::size_t r = 0; r < rows; ++r) array.program_row(r, db[r]);
 
-  const auto queries =
-      data::random_int_vectors(8, dims, static_cast<int>(enc->search_count()), 13);
-  for (const auto& q : queries) {
-    const auto reference = array.search_reference(q);
-    const auto optimized = array.search(q);
-    const auto optimized_parallel = array.search(q, /*parallel_rows=*/true);
-    ASSERT_EQ(reference.size(), rows);
-    for (std::size_t r = 0; r < rows; ++r) {
-      // Exact double equality: the kernels share the per-cell expression
-      // and summation order, so any drift is a real table/gather bug.
-      EXPECT_EQ(optimized[r], reference[r]) << "row " << r;
-      EXPECT_EQ(optimized_parallel[r], reference[r]) << "row " << r;
+    const auto queries = data::random_int_vectors(
+        8, dims, static_cast<int>(enc->search_count()), 13);
+    for (const auto& q : queries) {
+      const auto reference = array.search_reference(q);
+      const auto optimized = array.search(q);
+      const auto optimized_parallel = array.search(q, /*parallel_rows=*/true);
+      ASSERT_EQ(reference.size(), rows);
+      for (std::size_t r = 0; r < rows; ++r) {
+        // Exact double equality: the kernels share the per-cell
+        // expression and the lane order of the sum, so any drift is a
+        // real table, gather or instruction-set bug.
+        EXPECT_EQ(optimized[r], reference[r]) << "row " << r;
+        EXPECT_EQ(optimized_parallel[r], reference[r]) << "row " << r;
+      }
+
+      const auto nominal_ref = array.nominal_distances_reference(q);
+      const auto nominal_opt = array.nominal_distances(q);
+      EXPECT_EQ(nominal_opt, nominal_ref);
     }
-
-    const auto nominal_ref = array.nominal_distances_reference(q);
-    const auto nominal_opt = array.nominal_distances(q);
-    EXPECT_EQ(nominal_opt, nominal_ref);
   }
 }
 
@@ -113,6 +124,19 @@ INSTANTIATE_TEST_SUITE_P(
                     KernelCase{DistanceMetric::kEuclideanSquared, 2, false,
                                true}),
     case_name);
+
+TEST(RowPassDispatch, SearchRunsAvx2WhereTheCpuHasIt) {
+  // KernelEquivalence compares search() with the portable pass; if the
+  // dispatch fell back to that pass on an AVX2 host, it would compare the
+  // portable pass with itself and prove nothing about the AVX2 one.
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2")) {
+    EXPECT_STREQ(circuit::row_pass_isa(), "avx2");
+    return;
+  }
+#endif
+  EXPECT_STREQ(circuit::row_pass_isa(), "portable");
+}
 
 TEST(HotPathEncoding, NominalCurrentLutMatchesReference) {
   for (const auto metric :
