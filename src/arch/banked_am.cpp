@@ -23,13 +23,10 @@ void BankedAm::configure(csp::DistanceMetric metric, int bits) {
 }
 
 std::unique_ptr<core::FerexEngine> BankedAm::make_bank(
-    std::size_t start, std::size_t bank_count) const {
+    std::size_t start) const {
   auto engine_options = options_.engine;
   // Decorrelate device variation across macros.
   engine_options.seed = options_.engine.seed + 0x9e37 * (start + 1);
-  // With several banks this layer owns intra-query parallelism (it
-  // fans banks); per-bank row fan-out on top would nest worker pools.
-  if (bank_count > 1) engine_options.intra_query_min_devices = 0;
   auto bank = std::make_unique<core::FerexEngine>(engine_options);
   bank->configure(metric_, bits_);
   return bank;
@@ -45,22 +42,20 @@ void BankedAm::store(const std::vector<std::vector<int>>& database) {
   banks_.clear();
   bank_offsets_.clear();
   total_rows_ = database.size();
-  const std::size_t bank_count =
-      (database.size() + options_.bank_rows - 1) / options_.bank_rows;
   for (std::size_t start = 0; start < database.size();
        start += options_.bank_rows) {
     const std::size_t end =
         std::min(start + options_.bank_rows, database.size());
     std::vector<std::vector<int>> slice(database.begin() + start,
                                         database.begin() + end);
-    auto bank = make_bank(start, bank_count);
+    auto bank = make_bank(start);
     bank->store(std::move(slice));
     banks_.push_back(std::move(bank));
     bank_offsets_.push_back(start);
   }
 }
 
-BankedInsert BankedAm::insert(std::span<const int> vector) {
+BankedWrite BankedAm::insert(std::span<const int> vector) {
   if (!configured_) {
     throw std::logic_error("BankedAm::insert: configure() first");
   }
@@ -69,7 +64,7 @@ BankedInsert BankedAm::insert(std::span<const int> vector) {
     // first row; the banked database keeps one dimensionality.
     throw std::invalid_argument("BankedAm::insert: vector.size() != dims");
   }
-  BankedInsert receipt;
+  BankedWrite receipt;
   // Freed slots are reused before any growth: scan banks in order for a
   // removed slot (the engine picks its lowest) so the physical footprint
   // only grows when every slot is live.
@@ -79,7 +74,6 @@ BankedInsert BankedAm::insert(std::span<const int> vector) {
       receipt.cost = result.cost;
       receipt.bank = b;
       receipt.global_row = bank_offsets_[b] + result.row;
-      reconcile_intra_query();
       return receipt;
     }
   }
@@ -90,7 +84,7 @@ BankedInsert BankedAm::insert(std::span<const int> vector) {
     // this is a multiple of bank_rows — the same `start` a fresh store()
     // of the concatenated database would feed the seed formula.
     const std::size_t start = total_rows_;
-    auto bank = make_bank(start, banks_.size() + 1);
+    auto bank = make_bank(start);
     receipt.cost = bank->insert(vector).cost;  // throws before state change
     banks_.push_back(std::move(bank));
     bank_offsets_.push_back(start);
@@ -99,7 +93,6 @@ BankedInsert BankedAm::insert(std::span<const int> vector) {
   }
   receipt.bank = banks_.size() - 1;
   receipt.global_row = total_rows_++;
-  reconcile_intra_query();
   return receipt;
 }
 
@@ -115,7 +108,6 @@ BankedWrite BankedAm::remove(std::size_t global_row) {
   receipt.cost = banks_[b]->remove(global_row - bank_offsets_[b]);
   receipt.bank = b;
   receipt.global_row = global_row;
-  reconcile_intra_query();
   return receipt;
 }
 
@@ -135,7 +127,6 @@ BankedWrite BankedAm::update(std::size_t global_row,
   receipt.cost = banks_[b]->update(global_row - bank_offsets_[b], vector);
   receipt.bank = b;
   receipt.global_row = global_row;
-  reconcile_intra_query();  // an update can revive an all-removed bank
   return receipt;
 }
 
@@ -159,12 +150,11 @@ void BankedAm::restore_state(BankedState state) {
   bank_offsets_ = std::move(state.bank_offsets);
   total_rows_ = 0;
   for (std::size_t b = 0; b < state.banks.size(); ++b) {
-    auto bank = make_bank(bank_offsets_[b], state.banks.size());
+    auto bank = make_bank(bank_offsets_[b]);
     total_rows_ += state.banks[b].database.size();
     bank->restore_state(std::move(state.banks[b]));
     banks_.push_back(std::move(bank));
   }
-  reconcile_intra_query();
 }
 
 std::size_t BankedAm::compact() {
@@ -204,20 +194,6 @@ std::size_t BankedAm::live_bank_count() const noexcept {
   return live;
 }
 
-void BankedAm::reconcile_intra_query() {
-  // A bank may fan its own rows exactly when it is effectively the only
-  // bank searching — otherwise this layer fans banks and row fan-out
-  // underneath would nest pools. make_bank applies the same rule by
-  // physical bank count at creation; live counts refine it as rows die
-  // and revive.
-  const std::size_t intra = live_bank_count() > 1
-                                ? 0
-                                : options_.engine.intra_query_min_devices;
-  for (auto& bank : banks_) {
-    bank->options().intra_query_min_devices = intra;
-  }
-}
-
 std::size_t BankedAm::global_index(std::size_t bank, std::size_t local) const {
   return bank_offsets_[bank] + local;
 }
@@ -231,8 +207,7 @@ std::size_t BankedAm::bank_of(std::size_t global_row) const {
 }
 
 bool BankedAm::parallel_banks_worthwhile() const noexcept {
-  const std::size_t threshold = options_.engine.intra_query_min_devices;
-  if (live_bank_count() <= 1 || threshold == 0 || util::pool_width() <= 1 ||
+  if (live_bank_count() <= 1 ||
       options_.engine.fidelity != core::SearchFidelity::kCircuit) {
     return false;
   }
@@ -240,7 +215,7 @@ bool BankedAm::parallel_banks_worthwhile() const noexcept {
   for (const auto& bank : banks_) {
     if (const auto* array = bank->array()) devices += array->device_count();
   }
-  return devices >= threshold;
+  return devices >= core::kIntraQueryMinDevices;
 }
 
 void BankedAm::check_query(std::span<const int> query) const {
@@ -257,9 +232,8 @@ void BankedAm::check_query(std::span<const int> query) const {
   }
 }
 
-BankedSearchResult BankedAm::search_at(
-    std::span<const int> query, std::uint64_t ordinal,
-    std::optional<bool> parallel_banks) const {
+BankedSearchResult BankedAm::search_at(std::span<const int> query,
+                                       std::uint64_t ordinal) const {
   if (banks_.empty()) {
     throw std::logic_error("BankedAm::search_at: store() first");
   }
@@ -281,18 +255,14 @@ BankedSearchResult BankedAm::search_at(
     bank_live[b] = banks_[b]->live_count() > 0 ? 1 : 0;
     live_banks += bank_live[b];
   }
-  // Each engine keeps its own row heuristic (multi-bank engines have
-  // row fan-out disabled, a single bank may still fan its rows).
+  // Each engine keeps its own row gate; under a bank fan-out its row
+  // loop runs inline (util::parallel's nesting rule).
   const auto run_bank = [&](std::size_t b) {
     if (bank_live[b] == 0) return;
     bank_results[b] = banks_[b]->search_hits_at(query, 1, ordinal).front();
   };
-  if (parallel_banks.value_or(parallel_banks_worthwhile()) &&
-      banks_.size() > 1) {
-    // Affine schedule: bank b lands on the same pool participant on
-    // every query, so each bank's cached bias/current tables stay warm
-    // in one thread's caches across a serving stream.
-    util::parallel_for_affine(banks_.size(), run_bank);
+  if (parallel_banks_worthwhile()) {
+    util::parallel_for(banks_.size(), run_bank);
   } else {
     for (std::size_t b = 0; b < banks_.size(); ++b) run_bank(b);
   }
@@ -316,22 +286,6 @@ BankedSearchResult BankedAm::search_at(
   return out;
 }
 
-bool BankedAm::inner_fan_for_batch(std::size_t batch_size) const noexcept {
-  // Small batches cannot saturate the pool across queries alone; run
-  // them serially and fan each query's banks (or, single-bank, its
-  // rows) instead — but only when the inner fan-out is at least as wide
-  // as the query fan-out it replaces, else fanning queries wins. Either
-  // schedule yields bit-identical results.
-  if (banks_.empty() || batch_size == 0 || batch_size >= util::pool_width()) {
-    return false;
-  }
-  const bool inner_fan_wider =
-      banks_.size() > 1 ? banks_.size() >= batch_size
-                        : banks_.front()->intra_query_parallel();
-  return inner_fan_wider &&
-         (banks_.size() == 1 || parallel_banks_worthwhile());
-}
-
 std::vector<BankedSearchResult> BankedAm::search_k_hits(
     std::span<const int> query, std::size_t k,
     std::optional<bool> parallel_banks) const {
@@ -350,10 +304,8 @@ std::vector<BankedSearchResult> BankedAm::search_k_hits(
   const auto run_bank = [&](std::size_t b) {
     per_bank[b] = banks_[b]->row_currents(query);
   };
-  if (parallel_banks.value_or(parallel_banks_worthwhile()) &&
-      banks_.size() > 1) {
-    // Same bank -> participant affinity as the single-NN path.
-    util::parallel_for_affine(banks_.size(), run_bank);
+  if (parallel_banks.value_or(parallel_banks_worthwhile())) {
+    util::parallel_for(banks_.size(), run_bank);
   } else {
     for (std::size_t b = 0; b < banks_.size(); ++b) run_bank(b);
   }

@@ -8,12 +8,18 @@
 //   * rows are partitioned row-major across `bank_rows`-sized macros;
 //   * one search broadcasts the query to every bank in parallel;
 //   * each bank's LTA produces a local winner (current + index);
-//   * a global comparison stage (a second, small LTA over the per-bank
-//     winner currents) picks the overall nearest neighbor.
+//   * a global comparison stage over the per-bank winner currents picks
+//     the overall nearest neighbor — a noiseless decision, ties to the
+//     lowest bank.
 //
 // Banks share the search-line drivers, so delay is one bank search plus
 // the global-LTA stage; energy is the sum over banks plus the global
 // stage. k-NN is served by iterative masking at the global level.
+//
+// On the host, a circuit-fidelity search over at least
+// core::kIntraQueryMinDevices devices fans its banks across
+// util::parallel_for; each bank's row loop then runs inline under
+// util::parallel's nesting rule, and a lone bank fans its rows instead.
 #pragma once
 
 #include <cstddef>
@@ -54,9 +60,6 @@ struct BankedWrite {
   circuit::WriteCost cost{};        ///< write cost of the operation
 };
 
-/// Historical name for the insert receipt.
-using BankedInsert = BankedWrite;
-
 /// A database of vectors partitioned across FeReX macros.
 class BankedAm {
  public:
@@ -80,7 +83,7 @@ class BankedAm {
   /// the same physical layout. Returns where the row landed and its
   /// write cost. Throws without mutating on a wrong-length or
   /// out-of-alphabet vector.
-  BankedInsert insert(std::span<const int> vector);
+  BankedWrite insert(std::span<const int> vector);
 
   /// Deletes one row by global index: routes to the owning bank's
   /// engine, which erases the slot and masks it in the post-decoder (it
@@ -129,24 +132,22 @@ class BankedAm {
   /// between the bank winners. The ordinal selects every bank's
   /// comparator-noise stream, so results do not depend on execution
   /// order; the banked AM counts no ordinals (serve::BankedIndex does).
-  /// When the work-size heuristic allows (multiple live banks and
-  /// hardware threads, circuit fidelity, total devices across banks
-  /// reaching the engine's intra_query_min_devices), the banks fan across
-  /// the worker pool — the hardware fires all macros at once, and a
-  /// single query should too. `parallel_banks` overrides the heuristic
-  /// (callers already inside a worker pool pass false); the schedule
-  /// never affects results.
+  /// When the work-size gate allows (several live banks, circuit
+  /// fidelity, total devices across banks reaching
+  /// core::kIntraQueryMinDevices), the banks fan across
+  /// util::parallel_for — the hardware fires all macros at once, and a
+  /// single query should too. The schedule never affects results.
   BankedSearchResult search_at(std::span<const int> query,
-                               std::uint64_t ordinal,
-                               std::optional<bool> parallel_banks =
-                                   std::nullopt) const;
+                               std::uint64_t ordinal) const;
 
   /// The k-NN core: top-k rows nearest first with full hit detail
   /// (sensed current, margin to the best remaining row, nominal
   /// distance). Deterministic, unlike the two-stage single-NN path:
   /// every bank exposes its raw row currents and the global post-decoder
   /// masks iteratively, with no per-bank LTA decisions and hence no
-  /// comparator-noise draws — so it takes no ordinal.
+  /// comparator-noise draws — so it takes no ordinal. Banks fan as in
+  /// search_at; `parallel_banks` pins the schedule instead (tests and
+  /// per-layer timing pass false for the serial bank loop).
   std::vector<BankedSearchResult> search_k_hits(
       std::span<const int> query, std::size_t k,
       std::optional<bool> parallel_banks = std::nullopt) const;
@@ -157,12 +158,6 @@ class BankedAm {
   /// Exposed so serving layers can reject requests before consuming any
   /// query ordinal.
   void validate_query(std::span<const int> query) const;
-
-  /// True when a batch of `batch_size` queries is better served by
-  /// running queries serially and fanning each query's banks (or, single
-  /// bank, its rows) — the scheduling rule serve::AmIndex batches by.
-  /// False with no bank stored. Never affects results.
-  bool inner_fan_for_batch(std::size_t batch_size) const noexcept;
 
   /// Delay of one banked search: banks operate in parallel, then the
   /// global comparator resolves bank winners.
@@ -203,23 +198,15 @@ class BankedAm {
   /// A configured, empty engine for the bank whose first global row is
   /// `start`, with the per-bank seed decorrelation formula store() and
   /// insert() share (bit-identity of the two population paths depends on
-  /// both using exactly this). `bank_count` is the count after adding it.
-  std::unique_ptr<core::FerexEngine> make_bank(std::size_t start,
-                                               std::size_t bank_count) const;
+  /// both using exactly this).
+  std::unique_ptr<core::FerexEngine> make_bank(std::size_t start) const;
   void check_query(std::span<const int> query) const;
-  /// Work-size gate for fanning banks across the pool: multiple banks
-  /// holding live rows, multiple hardware threads, circuit fidelity, and
-  /// total devices across banks at least the engine's
-  /// intra_query_min_devices — the same heuristic the engine applies to
-  /// its rows, so tiny banked configs never pay thread-spawn costs that
+  /// Work-size gate for fanning banks across the pool: several banks
+  /// holding live rows, circuit fidelity, and total devices across banks
+  /// at least core::kIntraQueryMinDevices — the gate the engine applies
+  /// to its rows, so tiny banked configs never pay hand-off costs that
   /// dwarf the solve work.
   bool parallel_banks_worthwhile() const noexcept;
-  /// Re-derives every bank engine's intra-query parallelism setting from
-  /// the live bank count: with more than one live bank this layer fans
-  /// banks (row fan-out would nest pools, so it is disabled); back down
-  /// at one live bank the engines regain the configured row heuristic.
-  /// Scheduling only — results are schedule-invariant.
-  void reconcile_intra_query();
 
   BankedOptions options_;
   csp::DistanceMetric metric_ = csp::DistanceMetric::kHamming;

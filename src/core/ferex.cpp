@@ -4,8 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "util/parallel.hpp"
-
 namespace ferex::core {
 
 FerexEngine::FerexEngine(FerexOptions options)
@@ -303,11 +301,9 @@ util::Rng FerexEngine::query_rng(std::uint64_t ordinal) const noexcept {
                    (0x9e3779b97f4a7c15ULL * (ordinal + 1)));
 }
 
-bool FerexEngine::intra_query_parallel() const noexcept {
-  return options_.fidelity == SearchFidelity::kCircuit &&
-         options_.intra_query_min_devices > 0 && array_ != nullptr &&
-         array_->device_count() >= options_.intra_query_min_devices &&
-         util::pool_width() > 1;
+bool FerexEngine::parallel_rows_worthwhile() const noexcept {
+  return options_.fidelity == SearchFidelity::kCircuit && array_ != nullptr &&
+         array_->device_count() >= kIntraQueryMinDevices;
 }
 
 void FerexEngine::check_query(std::span<const int> query) const {
@@ -350,8 +346,8 @@ std::vector<SearchResult> FerexEngine::search_hits_at(
   std::vector<int> distances;
   std::vector<double> currents;
   if (circuit) {
-    currents =
-        array_->search(query, parallel_rows.value_or(intra_query_parallel()));
+    currents = array_->search(
+        query, parallel_rows.value_or(parallel_rows_worthwhile()));
   } else {
     distances = array_->nominal_distances(query);
     currents.assign(distances.begin(), distances.end());
@@ -378,16 +374,6 @@ std::vector<SearchResult> FerexEngine::search_hits_at(
   return hits;
 }
 
-bool FerexEngine::inner_fan_for_batch(std::size_t batch_size) const noexcept {
-  // When the batch alone cannot saturate the pool, keep the queries
-  // serial and fan each query's rows instead — but only when the row fan
-  // is at least as wide as the query fan it replaces. Results are
-  // bit-identical either way (per-query noise is ordinal-addressed, rows
-  // share no mutable state), so the choice is purely a scheduling one.
-  return batch_size > 0 && batch_size < util::pool_width() &&
-         intra_query_parallel() && array_->rows() >= batch_size;
-}
-
 std::vector<double> FerexEngine::row_currents(std::span<const int> query) const {
   if (!array_) {
     throw std::logic_error(
@@ -400,7 +386,7 @@ std::vector<double> FerexEngine::row_currents(std::span<const int> query) const 
     query = expanded;
   }
   if (options_.fidelity == SearchFidelity::kCircuit) {
-    return array_->search(query, intra_query_parallel());
+    return array_->search(query, parallel_rows_worthwhile());
   }
   const auto distances = array_->nominal_distances(query);
   std::vector<double> currents(distances.begin(), distances.end());

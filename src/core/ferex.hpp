@@ -18,6 +18,9 @@
 // engine keeps no query counter: the caller names each search's
 // comparator-noise stream by ordinal. serve::EngineIndex wraps the
 // engine with ordinal accounting, request validation and batching.
+// A circuit-fidelity array of at least kIntraQueryMinDevices devices
+// fans one query's rows across util::parallel_for; inside another
+// fan-out that loop runs inline (util::parallel's nesting rule).
 #pragma once
 
 #include <cstddef>
@@ -54,16 +57,17 @@ struct FerexOptions {
   double ladder_step_v = 0.6;
   SearchFidelity fidelity = SearchFidelity::kCircuit;
   std::uint64_t seed = 0x5eed;
-  /// Intra-query parallelism heuristic: when a single circuit-fidelity
-  /// query's work (array devices = rows * dims * fefets per cell) reaches
-  /// this threshold and more than one hardware thread is available, the
-  /// query's rows fan across the worker pool. Batch schedulers apply it
-  /// only when the batch alone cannot saturate the pool (fewer queries
-  /// than hardware threads). 0 disables intra-query parallelism.
-  /// The nominal-fidelity kernel is a table gather whose per-row cost is
-  /// far below thread-spawn overhead, so it never fans.
-  std::size_t intra_query_min_devices = 32768;
 };
+
+/// Work-size gate for fanning one query across the worker pool: a
+/// circuit-fidelity search whose devices (rows * dims * fefets per cell,
+/// summed over the banks of a banked array) reach this count fans its
+/// rows — or a banked array its banks — across util::parallel_for.
+/// Below it the solve work is too small to pay for the hand-off. The
+/// nominal-fidelity kernel is a table gather whose per-row cost is far
+/// below any hand-off, so it never fans. Scheduling only: results are
+/// bit-identical either way.
+inline constexpr std::size_t kIntraQueryMinDevices = 32768;
 
 /// Result of one nearest-neighbor query.
 struct SearchResult {
@@ -145,20 +149,14 @@ class FerexEngine {
   /// Requires configure() and store(), and 1 <= k <= live_count(). The
   /// ordinal selects the per-query comparator-noise stream, so results do
   /// not depend on the order or thread in which queries run. Const: the
-  /// engine counts no ordinals; serve::EngineIndex does. `parallel_rows`
-  /// overrides the intra-query heuristic — callers already running this
-  /// engine inside their own worker pool pass false to avoid nesting
-  /// pools; nullopt applies intra_query_min_devices. The schedule never
-  /// affects results.
+  /// engine counts no ordinals; serve::EngineIndex does. The rows fan
+  /// across the worker pool when the array reaches kIntraQueryMinDevices
+  /// at circuit fidelity; `parallel_rows` pins the schedule instead
+  /// (tests and per-layer timing pass false for the serial row loop).
+  /// The schedule never affects results.
   std::vector<SearchResult> search_hits_at(
       std::span<const int> query, std::size_t k, std::uint64_t ordinal,
       std::optional<bool> parallel_rows = std::nullopt) const;
-
-  /// True when the intra-query heuristic (intra_query_min_devices vs the
-  /// array's device count and the pool width) says a single query's rows
-  /// would fan across the worker pool. Exposed so multi-engine layers can
-  /// schedule around it.
-  bool intra_query_parallel() const noexcept;
 
   /// Raw sensed row currents for a query (codec-expanded; at nominal
   /// fidelity these are exact distances). Building block for multi-macro
@@ -184,13 +182,6 @@ class FerexEngine {
   /// Exposed so serving layers can reject requests before consuming any
   /// query ordinal.
   void validate_query(std::span<const int> query) const;
-
-  /// True when a batch of `batch_size` queries is better served by
-  /// running queries serially and fanning each query's rows (the batch
-  /// alone cannot saturate the pool and the row fan is at least as
-  /// wide) — the scheduling rule serve::AmIndex batches by. Never
-  /// affects results.
-  bool inner_fan_for_batch(std::size_t batch_size) const noexcept;
 
   /// Energy/delay of one search op on the current geometry (Fig. 6 model).
   circuit::SearchCost search_cost() const;
@@ -234,7 +225,6 @@ class FerexEngine {
   /// Access to the simulated array (nullptr before store()).
   const circuit::CrossbarArray* array() const noexcept { return array_.get(); }
 
-  FerexOptions& options() noexcept { return options_; }
   const FerexOptions& options() const noexcept { return options_; }
 
   /// Complete mutable engine state for a durable snapshot. The byte
@@ -278,6 +268,9 @@ class FerexEngine {
   std::size_t physical_dims() const;
   /// Independent comparator-noise generator for one query ordinal.
   util::Rng query_rng(std::uint64_t ordinal) const noexcept;
+  /// Work-size gate for fanning one query's rows: circuit fidelity and
+  /// at least kIntraQueryMinDevices devices stored.
+  bool parallel_rows_worthwhile() const noexcept;
   /// Throws std::invalid_argument unless query has the stored logical
   /// dimensionality (pre-codec length), std::out_of_range unless every
   /// element is inside the configured alphabet.

@@ -63,8 +63,7 @@ SearchResponse AmIndex::search(const SearchRequest& request) {
   validate_request(request);
   const std::uint64_t ordinal =
       request.ordinal ? *request.ordinal : query_serial_++;
-  return search_core(request.query, request.k, ordinal,
-                     /*in_query_pool=*/false);
+  return search_core(request.query, request.k, ordinal);
 }
 
 SearchResponse AmIndex::search_at(const SearchRequest& request,
@@ -78,8 +77,7 @@ SearchResponse AmIndex::search_at(const SearchRequest& request,
 SearchResponse AmIndex::serve_at(const SearchRequest& request,
                                  std::uint64_t ordinal) const {
   validate_request(request);
-  return search_core(request.query, request.k, ordinal,
-                     /*in_query_pool=*/false);
+  return search_core(request.query, request.k, ordinal);
 }
 
 std::vector<SearchResponse> AmIndex::search_batch(
@@ -113,18 +111,11 @@ std::vector<SearchResponse> AmIndex::dispatch_batch(
     std::span<const SearchRequest> requests,
     std::span<const std::uint64_t> ordinals) const {
   std::vector<SearchResponse> responses(requests.size());
-  if (inner_fan_for_batch(requests.size())) {
-    // The batch alone cannot saturate the pool: keep requests serial and
-    // let each one fan its rows/banks (bit-identical either way).
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      responses[i] = search_core(requests[i].query, requests[i].k,
-                                 ordinals[i], /*in_query_pool=*/false);
-    }
-    return responses;
-  }
+  // Requests fan across the pool; each one's own row, bank or shard
+  // fan-out then runs inline (util::parallel's nesting rule), and a lone
+  // request runs as a plain call that may fan out itself.
   util::parallel_for(requests.size(), [&](std::size_t i) {
-    responses[i] = search_core(requests[i].query, requests[i].k, ordinals[i],
-                               /*in_query_pool=*/true);
+    responses[i] = search_core(requests[i].query, requests[i].k, ordinals[i]);
   });
   return responses;
 }

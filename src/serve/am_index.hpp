@@ -143,9 +143,6 @@ struct WriteReceipt {
   circuit::WriteCost cost{};   ///< write cost of the operation
 };
 
-/// Historical name for the insert receipt.
-using InsertReceipt = WriteReceipt;
-
 /// Polymorphic serving interface over interchangeable FeReX backends.
 ///
 /// The non-virtual entry points own request validation (before any
@@ -194,8 +191,8 @@ class AmIndex {
 
   /// Serves a batch; element i's response is bit-identical to serving
   /// request i alone in order (per-request noise is ordinal-addressed),
-  /// but requests fan across the persistent worker pool — or, when the
-  /// batch alone cannot saturate it, each request fans its rows/banks.
+  /// but requests fan across the persistent worker pool (a request's own
+  /// row, bank or shard fan-out then runs inline).
   /// Consumes one ordinal per request without a pinned one.
   std::vector<SearchResponse> search_batch(
       std::span<const SearchRequest> requests);
@@ -264,20 +261,17 @@ class AmIndex {
   /// on return the caller holds the (phantom) mutation capability.
   void check_mutable(const char* op) const
       ASSERT_CAPABILITY(mutation_serialization_);
-  /// Serves one validated request. `in_query_pool` marks calls issued
-  /// from inside a parallel_for over requests: backends must then keep
-  /// their inner loops serial so pools never nest. Never affects results.
+  /// Serves one validated request. A backend may fan the request's rows,
+  /// banks or shards across util::parallel_for; inside a batch's fan-out
+  /// across requests that inner loop runs inline (util::parallel's
+  /// nesting rule). Never affects results.
   virtual SearchResponse search_core(std::span<const int> query,
-                                     std::size_t k, std::uint64_t ordinal,
-                                     bool in_query_pool) const = 0;
+                                     std::size_t k,
+                                     std::uint64_t ordinal) const = 0;
 
   /// Backend query validation (length/alphabet/configured+stored), same
   /// exceptions as the backend search cores.
   virtual void validate_backend_query(std::span<const int> query) const = 0;
-
-  /// Backend scheduling rule: true when a batch of this size is better
-  /// served serially with each request fanning its own rows/banks.
-  virtual bool inner_fan_for_batch(std::size_t batch_size) const = 0;
 
  private:
   /// AsyncAmIndex holds the ownership flag for its lifetime and drives
@@ -322,8 +316,7 @@ class AmIndex {
                           std::uint64_t ordinal) const;
   /// Const ordinal-addressed batch core: serves request i at ordinals[i],
   /// consuming nothing (any request.ordinal is ignored in favor of the
-  /// argument). Scheduling matches search_batch — requests fan across the
-  /// worker pool unless the backend prefers inner row/bank fan-out — and
+  /// argument). Scheduling matches search_batch (see dispatch_batch), and
   /// element i is bit-identical to serve_at(requests[i], ordinals[i]).
   /// This is the serving core the async front door batches onto: it
   /// assigns ordinals at submission time and coalesces here without
@@ -335,8 +328,7 @@ class AmIndex {
       std::span<const std::uint64_t> ordinals) const;
 
   /// Post-validation batch dispatch shared by search_batch and
-  /// serve_batch_at: fans requests across the pool or runs them serially
-  /// with inner fan-out, per the backend's scheduling rule.
+  /// serve_batch_at: fans the requests across the worker pool.
   std::vector<SearchResponse> dispatch_batch(
       std::span<const SearchRequest> requests,
       std::span<const std::uint64_t> ordinals) const;

@@ -56,11 +56,11 @@
 // MutationWhileServed instead of silently racing the dispatcher
 // (shutdown() returns the index to synchronous use).
 //
-// Per-shard affinity: with a BankedIndex backend, a coalesced batch's
-// bank fan-out runs on util::parallel_for_affine, which maps bank b to
-// the same pool participant on every call — each bank's cached bias and
-// current tables stay warm in one thread's caches across the serving
-// stream.
+// Fan-out: a coalesced batch runs through AmIndex's batch dispatch,
+// which fans it across requests (a lone request fans its own rows,
+// banks or shards). Every session shares the one util::parallel pool; a
+// dispatcher that finds it owned by another session runs its fan-out
+// inline, and the nested loops under it stay inline too.
 #pragma once
 
 #include <atomic>

@@ -67,19 +67,14 @@ std::size_t BankedIndex::bank_count() const noexcept {
 }
 
 SearchResponse BankedIndex::search_core(std::span<const int> query,
-                                        std::size_t k, std::uint64_t ordinal,
-                                        bool in_query_pool) const {
-  // Inside a request fan-out the bank loop must stay serial so pools
-  // never nest; otherwise the banked work-size heuristic applies.
-  const std::optional<bool> parallel_banks =
-      in_query_pool ? std::optional<bool>(false) : std::nullopt;
+                                        std::size_t k,
+                                        std::uint64_t ordinal) const {
   SearchResponse response;
   if (k == 1) {
-    response.hits.push_back(
-        to_hit(banked_.search_at(query, ordinal, parallel_banks)));
+    response.hits.push_back(to_hit(banked_.search_at(query, ordinal)));
     return response;
   }
-  const auto hits = banked_.search_k_hits(query, k, parallel_banks);
+  const auto hits = banked_.search_k_hits(query, k);
   response.hits.reserve(hits.size());
   for (const auto& hit : hits) response.hits.push_back(to_hit(hit));
   return response;
@@ -87,10 +82,6 @@ SearchResponse BankedIndex::search_core(std::span<const int> query,
 
 void BankedIndex::validate_backend_query(std::span<const int> query) const {
   banked_.validate_query(query);
-}
-
-bool BankedIndex::inner_fan_for_batch(std::size_t batch_size) const {
-  return banked_.inner_fan_for_batch(batch_size);
 }
 
 }  // namespace ferex::serve

@@ -38,10 +38,8 @@ class BankedIndex final : public AmIndex {
   WriteReceipt do_update(std::size_t global_row,
                          std::span<const int> vector) override;
   SearchResponse search_core(std::span<const int> query, std::size_t k,
-                             std::uint64_t ordinal,
-                             bool in_query_pool) const override;
+                             std::uint64_t ordinal) const override;
   void validate_backend_query(std::span<const int> query) const override;
-  bool inner_fan_for_batch(std::size_t batch_size) const override;
 
  private:
   arch::BankedAm banked_;

@@ -59,9 +59,9 @@ std::uint64_t recover_index(AmIndex& index, const std::string& dir) {
 
   // A torn tail is the signature of a crash mid-append: the op was never
   // acknowledged as applied, so dropping it is the correct recovery.
-  // Anything else malformed throws CorruptLog from the scan below.
-  repair_wal(wal_path);
-  const WalReadResult scan = read_wal(wal_path);
+  // Anything else malformed throws CorruptLog from the scan. The one
+  // read and scan that find the tail also yield the records to replay.
+  const WalReadResult scan = repair_wal(wal_path);
   std::uint64_t last = watermark;
   for (const WalRecord& record : scan.records) {
     // Watermark skip makes replay idempotent: records the snapshot

@@ -55,14 +55,9 @@ std::size_t EngineIndex::live_count() const noexcept {
 std::size_t EngineIndex::dims() const noexcept { return engine_.dims(); }
 
 SearchResponse EngineIndex::search_core(std::span<const int> query,
-                                        std::size_t k, std::uint64_t ordinal,
-                                        bool in_query_pool) const {
-  // Inside a request fan-out the engine's row loop must stay serial so
-  // pools never nest; otherwise its own work-size heuristic applies.
-  const std::optional<bool> parallel_rows =
-      in_query_pool ? std::optional<bool>(false) : std::nullopt;
-  const auto results = engine_.search_hits_at(query, k, ordinal,
-                                              parallel_rows);
+                                        std::size_t k,
+                                        std::uint64_t ordinal) const {
+  const auto results = engine_.search_hits_at(query, k, ordinal);
   SearchResponse response;
   response.hits.reserve(results.size());
   for (const auto& r : results) {
@@ -79,10 +74,6 @@ SearchResponse EngineIndex::search_core(std::span<const int> query,
 
 void EngineIndex::validate_backend_query(std::span<const int> query) const {
   engine_.validate_query(query);
-}
-
-bool EngineIndex::inner_fan_for_batch(std::size_t batch_size) const {
-  return engine_.inner_fan_for_batch(batch_size);
 }
 
 }  // namespace ferex::serve

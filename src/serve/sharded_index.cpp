@@ -13,21 +13,6 @@ namespace ferex::serve {
 
 namespace {
 
-/// Per-shard engine options: seed salted per shard (shard 0 keeps the
-/// base seed, so a 1-shard fleet is bit-identical to the unsharded
-/// index), and — with several engine shards — per-shard row fan-out
-/// disabled because this layer owns the cross-shard fan (the same rule
-/// BankedAm applies to its banks; scheduling never affects results).
-core::FerexOptions shard_engine_options(const ShardedOptions& options,
-                                        std::size_t shard) {
-  auto engine_options = options.engine;
-  engine_options.seed = ShardedIndex::shard_seed(options, shard);
-  if (options.backend == ShardBackend::kEngine && options.shards > 1) {
-    engine_options.intra_query_min_devices = 0;
-  }
-  return engine_options;
-}
-
 /// Concatenated per-row live mask of one shard, in shard-local row
 /// order, for routing reconstruction after recovery.
 std::vector<std::uint8_t> shard_live_mask(const AmIndex& shard) {
@@ -77,13 +62,17 @@ ShardedIndex::ShardedIndex(ShardedOptions options) : options_(options) {
 }
 
 std::unique_ptr<AmIndex> ShardedIndex::make_shard(std::size_t shard) const {
+  // Seed salted per shard; shard 0 keeps the base seed, so a 1-shard
+  // fleet is bit-identical to the unsharded index.
+  auto engine_options = options_.engine;
+  engine_options.seed = shard_seed(options_, shard);
   if (options_.backend == ShardBackend::kBanked) {
     arch::BankedOptions banked_options;
-    banked_options.engine = shard_engine_options(options_, shard);
+    banked_options.engine = engine_options;
     banked_options.bank_rows = options_.bank_rows;
     return std::make_unique<BankedIndex>(banked_options);
   }
-  return std::make_unique<EngineIndex>(shard_engine_options(options_, shard));
+  return std::make_unique<EngineIndex>(engine_options);
 }
 
 std::size_t ShardedIndex::rows_for_shard(std::size_t shard,
@@ -283,15 +272,6 @@ std::size_t ShardedIndex::shard_k(std::size_t shard,
   return std::min(k + 1, live);
 }
 
-bool ShardedIndex::inner_fan_for_batch(std::size_t batch_size) const {
-  // A batch that can saturate the pool fans across requests; a smaller
-  // batch over a multi-shard fleet serves requests serially so each one
-  // fans its shards instead (bit-identical either way).
-  if (batch_size == 0 || batch_size >= util::pool_width()) return false;
-  const std::size_t live_shards = live_shard_count();
-  return live_shards > 1 && live_shards >= batch_size;
-}
-
 SearchResponse ShardedIndex::from_shard(std::size_t shard,
                                         SearchResponse response) const {
   for (auto& hit : response.hits) {
@@ -368,8 +348,8 @@ SearchResponse ShardedIndex::merge_shard_responses(
 }
 
 SearchResponse ShardedIndex::search_core(std::span<const int> query,
-                                         std::size_t k, std::uint64_t ordinal,
-                                         bool in_query_pool) const {
+                                         std::size_t k,
+                                         std::uint64_t ordinal) const {
   // The scatter half: one sub-response per shard (dead shards left
   // empty), each fetched at `ordinal` with the shard's own k.
   std::vector<SearchResponse> parts(shards_.size());
@@ -383,11 +363,10 @@ SearchResponse ShardedIndex::search_core(std::span<const int> query,
         SearchRequest(std::vector<int>(query.begin(), query.end()), sub_k),
         ordinal);
   };
-  if (!in_query_pool && live_shard_count() > 1 && util::pool_width() > 1) {
-    // Affine schedule: shard s lands on the same pool participant on
-    // every query, keeping its cached bias/current tables warm in one
-    // thread's caches across a serving stream.
-    util::parallel_for_affine(shards_.size(), run_shard);
+  if (live_shard_count() > 1) {
+    // Shards fire at once; each shard's own row or bank loop then runs
+    // inline (util::parallel's nesting rule).
+    util::parallel_for(shards_.size(), run_shard);
   } else {
     for (std::size_t s = 0; s < shards_.size(); ++s) run_shard(s);
   }

@@ -33,10 +33,11 @@
 // alphabet against these fields, before any shard is touched, so a
 // rejected write or store leaves the served fleet exactly as it was.
 //
-// Search is scatter-gather: the query fans to every live shard via
-// util::parallel_for_affine (shard s always lands on pool lane s % P,
-// keeping its cached bias/current tables warm in one thread), each
-// shard serves at the fleet's ordinal against its own comparator-noise
+// Search is scatter-gather: with more than one live shard the query
+// fans to every shard via util::parallel_for (each shard's own row or
+// bank loop then runs inline under util::parallel's nesting rule; a
+// shard searched alone keeps its own row or bank gate), each shard
+// serves at the fleet's ordinal against its own comparator-noise
 // stream (shard seeds are salted per shard; shard 0 keeps the base
 // seed, so a 1-shard fleet is bit-identical to the unsharded index),
 // and the per-shard top-k responses k-way merge on sensed current (at
@@ -186,10 +187,8 @@ class ShardedIndex final : public AmIndex {
   WriteReceipt do_update(std::size_t global_row,
                          std::span<const int> vector) override;
   SearchResponse search_core(std::span<const int> query, std::size_t k,
-                             std::uint64_t ordinal,
-                             bool in_query_pool) const override;
+                             std::uint64_t ordinal) const override;
   void validate_backend_query(std::span<const int> query) const override;
-  bool inner_fan_for_batch(std::size_t batch_size) const override;
 
  private:
   /// AsyncShardedIndex claims the fleet (so direct sync use throws

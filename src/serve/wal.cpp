@@ -186,14 +186,10 @@ WalReadResult read_wal(const std::string& path) {
   return result;
 }
 
-std::uint64_t repair_wal(const std::string& path) {
-  const WalReadResult scan = read_wal(path);
-  if (!scan.torn_tail) return 0;
-  std::vector<std::uint8_t> bytes;
-  if (!util::read_file(path, bytes)) return 0;
-  const std::uint64_t dropped = bytes.size() - scan.valid_bytes;
-  util::truncate_file(path, scan.valid_bytes);
-  return dropped;
+WalReadResult repair_wal(const std::string& path) {
+  WalReadResult scan = read_wal(path);
+  if (scan.torn_tail) util::truncate_file(path, scan.valid_bytes);
+  return scan;
 }
 
 Wal::Wal(std::string path, util::SyncPolicy policy, std::uint64_t next_seq)

@@ -90,9 +90,12 @@ struct WalReadResult {
 /// before the tail throws CorruptLog with the offset.
 WalReadResult read_wal(const std::string& path);
 
-/// Truncates a torn tail in place (no-op on a clean or missing log).
-/// Returns the bytes dropped.
-std::uint64_t repair_wal(const std::string& path);
+/// Scans `path` once, as read_wal does, and truncates a torn tail in
+/// place at the scan's `valid_bytes` (no-op on a clean or missing log).
+/// Returns that scan: its records are exactly the repaired log's, and
+/// `torn_tail` says whether a tail was dropped. Corruption before the
+/// tail throws CorruptLog without touching the file.
+WalReadResult repair_wal(const std::string& path);
 
 /// Append-side handle. Appends are not internally synchronized: callers
 /// serialize them (the sync front door is single-threaded by the

@@ -1,11 +1,9 @@
 #include "util/parallel.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <system_error>
 #include <thread>
@@ -35,38 +33,36 @@ std::size_t detect_pool_width() noexcept {
 
 thread_local bool tls_pool_worker = false;
 
-/// Stable participant index: 0 for the submitter, 1..W for the workers
-/// (set once per worker at spawn). Affine jobs use it to map lanes to
-/// threads consistently across calls.
-thread_local std::size_t tls_participant = 0;
+/// Marks the calling thread as running parallel_for items for its
+/// lifetime, so a parallel_for issued by one of them runs inline (the
+/// nesting rule). Entered only from run(), which a thread already under
+/// the rule never reaches, so leaving resets the flag.
+class ItemScope {
+ public:
+  ItemScope() noexcept { tls_pool_worker = true; }
+  ~ItemScope() { tls_pool_worker = false; }
+  ItemScope(const ItemScope&) = delete;
+  ItemScope& operator=(const ItemScope&) = delete;
+};
+
+/// Runs every item on the calling thread under the nesting rule.
+void run_inline(std::size_t n, const std::function<void(std::size_t)>& fn) {
+  const ItemScope items;
+  for (std::size_t i = 0; i < n; ++i) fn(i);
+}
 
 /// One fork/join job: an atomic work index every participating thread
 /// (workers + the submitter) drains, plus an active-participant count the
 /// submitter waits on. Lives on the submitter's stack for its duration.
 ///
-/// Two schedules share the struct. Dynamic (lanes == 0): items are
-/// claimed from the shared `next` cursor — pure work stealing. Affine
-/// (lanes > 0): item i belongs to lane i % lanes and participant p
-/// drains lane p first, then steals from the other lanes; `next` then
-/// counts *claimed* items so the workers' wait predicate and the
-/// error-stop path stay identical across both schedules.
-///
-/// Concurrency: `fn`, `n`, `lanes` are set once before publication and
-/// immutable after; the cursors and `active` are atomics (no capability
+/// Concurrency: `fn` and `n` are set once before publication and
+/// immutable after; `next` and `active` are atomics (no capability
 /// needed); only `first_error` takes a lock.
 struct Job {
-  Job(const std::function<void(std::size_t)>& f, std::size_t count,
-      std::size_t lane_count)
-      : fn(&f), n(count), lanes(lane_count) {
-    if (lanes > 0) {
-      // value-initialized -> every lane cursor starts at 0
-      lane_next = std::make_unique<std::atomic<std::size_t>[]>(lanes);
-    }
-  }
+  Job(const std::function<void(std::size_t)>& f, std::size_t count)
+      : fn(&f), n(count) {}
   const std::function<void(std::size_t)>* fn;
   std::size_t n;
-  std::size_t lanes;  ///< 0 = dynamic schedule
-  std::unique_ptr<std::atomic<std::size_t>[]> lane_next;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> active{0};
   Mutex error_mutex;
@@ -80,26 +76,27 @@ class WorkerPool {
     return pool;
   }
 
-  void run(std::size_t n, const std::function<void(std::size_t)>& fn,
-           bool affine) {
+  void run(std::size_t n, const std::function<void(std::size_t)>& fn) {
     // One top-level job at a time; a second caller runs inline rather
     // than queueing (it makes progress either way, and results never
-    // depend on the schedule).
+    // depend on the schedule). Its items follow the nesting rule like
+    // any others, so their own fan-outs cannot take the pool the moment
+    // it frees up.
     if (!submit_mutex_.try_lock()) {
-      for (std::size_t i = 0; i < n; ++i) fn(i);
+      run_inline(n, fn);
       return;
     }
     MutexLock submit(submit_mutex_, adopt_lock);
     std::call_once(spawn_once_,
                    [this]() REQUIRES(submit_mutex_) { spawn_workers(); });
     if (workers_.empty()) {
-      for (std::size_t i = 0; i < n; ++i) fn(i);
+      // Under the nesting rule, a nested call runs inline instead of
+      // try-locking the submit mutex this thread holds.
+      run_inline(n, fn);
       return;
     }
 
-    // Affine lanes map onto the participants that can actually exist:
-    // the submitter (lane 0) plus the workers that really spawned.
-    Job job(fn, n, affine ? workers_.size() + 1 : 0);
+    Job job(fn, n);
     {
       MutexLock lock(job_mutex_);
       job.active.store(1, std::memory_order_relaxed);  // the submitter
@@ -110,9 +107,10 @@ class WorkerPool {
     // participant, so a nested parallel_for issued by one of its items
     // takes the inline path up front instead of re-entering run() and
     // try-locking a mutex this thread already owns (which would be UB).
-    tls_pool_worker = true;
-    drain(job, /*participant=*/0);
-    tls_pool_worker = false;
+    {
+      const ItemScope items;
+      drain(job);
+    }
     {
       MutexLock lock(job_mutex_);
       job.active.fetch_sub(1, std::memory_order_acq_rel);
@@ -158,7 +156,7 @@ class WorkerPool {
     workers_.reserve(width - 1);
     try {
       for (std::size_t w = 1; w < width; ++w) {
-        workers_.emplace_back([this, w] { worker_loop(w); });
+        workers_.emplace_back([this] { worker_loop(); });
       }
     } catch (const std::system_error&) {
       // Thread spawn failed (resource exhaustion): run with however many
@@ -166,9 +164,8 @@ class WorkerPool {
     }
   }
 
-  void worker_loop(std::size_t participant) {
+  void worker_loop() {
     tls_pool_worker = true;
-    tls_participant = participant;
     for (;;) {
       Job* job = nullptr;
       {
@@ -184,7 +181,7 @@ class WorkerPool {
         // until this participant drains and deregisters.
         job->active.fetch_add(1, std::memory_order_relaxed);
       }
-      drain(*job, tls_participant);
+      drain(*job);
       {
         MutexLock lock(job_mutex_);
         if (job->active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -197,16 +194,11 @@ class WorkerPool {
   static void record_error(Job& job) {
     MutexLock lock(job.error_mutex);
     if (!job.first_error) job.first_error = std::current_exception();
-    // Stop handing out work once something failed (both schedules gate
-    // their claims on next < n).
+    // Stop handing out work once something failed.
     job.next.store(job.n, std::memory_order_relaxed);
   }
 
-  static void drain(Job& job, std::size_t participant) {
-    if (job.lanes > 0) {
-      drain_affine(job, participant);
-      return;
-    }
+  static void drain(Job& job) {
     for (;;) {
       const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
       if (i >= job.n) return;
@@ -214,30 +206,6 @@ class WorkerPool {
         (*job.fn)(i);
       } catch (...) {
         record_error(job);
-      }
-    }
-  }
-
-  /// Affine drain: own lane first (items participant, participant +
-  /// lanes, ...), then sweep the other lanes so a stalled participant
-  /// never strands its items. Lane cursors are strided claim counters;
-  /// `next` tracks total claims for the wait predicate and error stop.
-  static void drain_affine(Job& job, std::size_t participant) {
-    for (std::size_t offset = 0; offset < job.lanes; ++offset) {
-      const std::size_t lane = (participant + offset) % job.lanes;
-      for (;;) {
-        if (job.next.load(std::memory_order_relaxed) >= job.n) return;
-        const std::size_t stride =
-            job.lane_next[lane].fetch_add(1, std::memory_order_relaxed);
-        const std::size_t i = lane + stride * job.lanes;
-        if (i >= job.n) break;  // lane exhausted: move to the next one
-        job.next.fetch_add(1, std::memory_order_relaxed);
-        try {
-          (*job.fn)(i);
-        } catch (...) {
-          record_error(job);
-          return;
-        }
       }
     }
   }
@@ -261,36 +229,18 @@ std::size_t pool_width() noexcept {
   return width;
 }
 
-std::size_t worker_count(std::size_t jobs) noexcept {
-  return std::max<std::size_t>(1, std::min(pool_width(), jobs));
-}
-
 bool on_pool_worker() noexcept { return tls_pool_worker; }
 
-namespace {
-
-void run_pooled(std::size_t n, const std::function<void(std::size_t)>& fn,
-                bool affine) {
+void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
   if (n == 1 || pool_width() == 1 || tls_pool_worker) {
     // Single item, single-threaded host, or a nested call from inside a
-    // pool worker: run inline (nested fan-out would deadlock-prone-ly
-    // contend for the one pool; every call site is schedule-invariant).
+    // parallel_for item: run inline (nested fan-out would contend for
+    // the one pool; every call site is schedule-invariant).
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  WorkerPool::instance().run(n, fn, affine);
-}
-
-}  // namespace
-
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  run_pooled(n, fn, /*affine=*/false);
-}
-
-void parallel_for_affine(std::size_t n,
-                         const std::function<void(std::size_t)>& fn) {
-  run_pooled(n, fn, /*affine=*/true);
+  WorkerPool::instance().run(n, fn);
 }
 
 }  // namespace ferex::util

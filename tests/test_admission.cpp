@@ -118,7 +118,7 @@ class GatedIndex final : public AmIndex {
     return receipt;
   }
   SearchResponse search_core(std::span<const int>, std::size_t k,
-                             std::uint64_t ordinal, bool) const override {
+                             std::uint64_t ordinal) const override {
     {
       std::unique_lock<std::mutex> lock(mutex_);
       ++entered_;
@@ -137,8 +137,6 @@ class GatedIndex final : public AmIndex {
       throw std::invalid_argument("GatedIndex: query.size() != dims");
     }
   }
-
-  bool inner_fan_for_batch(std::size_t) const override { return false; }
 
  private:
   mutable std::mutex mutex_;

@@ -3,7 +3,6 @@
 
 #include "arch/banked_am.hpp"
 #include "ml/knn.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace ferex::arch {
@@ -126,16 +125,6 @@ TEST(BankedAmT, LifecycleGuards) {
                std::invalid_argument);
   EXPECT_THROW(BankedAm(BankedOptions{.bank_rows = 0}),
                std::invalid_argument);
-}
-
-TEST(BankedAmT, InnerFanForBatchOnEmptyArrayIsFalse) {
-  // Regression: with no bank stored and a pool wider than the batch, the
-  // scheduling rule used to read banks_.front(). A 1-wide pool returns
-  // early, so only wider pools (FEREX_POOL_WIDTH > 1) reach that read.
-  BankedAm am;
-  am.configure(DistanceMetric::kHamming, 2);
-  EXPECT_FALSE(am.inner_fan_for_batch(1));
-  EXPECT_FALSE(am.inner_fan_for_batch(util::pool_width()));
 }
 
 }  // namespace

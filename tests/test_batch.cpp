@@ -2,8 +2,13 @@
 // over both backends (EngineIndex, BankedIndex) must be bit-identical to
 // sequential search() calls across metrics, fidelities, k and encoding
 // paths, and must reject malformed batches before consuming an ordinal.
+// Banked and sharded indexes above the work-size gate must give the same
+// bits whether a search fans its banks or shards, sits inside a fan-out
+// across requests, or pins its bank or shard loop serial.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -11,6 +16,7 @@
 #include "data/datasets.hpp"
 #include "serve/banked_index.hpp"
 #include "serve/engine_index.hpp"
+#include "serve/sharded_index.hpp"
 #include "util/parallel.hpp"
 
 namespace ferex::serve {
@@ -247,8 +253,118 @@ TEST(ParallelForT, CoversAllIndicesAndPropagatesExceptions) {
                      if (i == 3) throw std::runtime_error("boom");
                    }),
                std::runtime_error);
-  EXPECT_GE(util::worker_count(1), 1u);
-  EXPECT_EQ(util::worker_count(0), 1u);
+}
+
+// -- Nested fan-outs above the work-size gate ---------------------------
+//
+// Every bank and shard below holds more than core::kIntraQueryMinDevices
+// devices, so it fans its rows when searched alone. search_at fans the
+// banks or shards and runs each row loop inline beneath them; a batch
+// fans its requests and runs everything beneath inline (util::parallel's
+// nesting rule); the serial cores pinned with `false` fan the rows of
+// one bank or shard at a time. No schedule may change a bit.
+
+constexpr std::size_t kWideRows = 192;  // x 64 dims x 3 FeFETs = 36,864
+constexpr std::size_t kWideDims = 64;
+
+/// Serves the same pinned-ordinal requests at k = 1 and k = 5 three ways
+/// and expects one answer: a batch of at least pool_width() requests,
+/// batches of 2, and search_at one by one. `check_serial` then compares
+/// that answer with the backend's serial cores.
+void expect_schedules_agree(
+    AmIndex& index,
+    const std::function<void(const SearchRequest&, const SearchResponse&)>&
+        check_serial) {
+  const std::size_t n = std::max<std::size_t>(util::pool_width(), 4);
+  const auto queries = data::random_int_vectors(n, kWideDims, 4, 802);
+  for (const std::size_t k : {std::size_t{1}, std::size_t{5}}) {
+    std::vector<SearchRequest> requests;
+    for (std::size_t i = 0; i < n; ++i) {
+      requests.emplace_back(queries[i], k, 7000 + i);
+    }
+    const auto wide = index.search_batch(requests);
+    std::vector<SearchResponse> pairs;
+    for (std::size_t i = 0; i < n; i += 2) {
+      const auto pair = index.search_batch(
+          std::span(requests).subspan(i, std::min<std::size_t>(2, n - i)));
+      pairs.insert(pairs.end(), pair.begin(), pair.end());
+    }
+    ASSERT_EQ(wide.size(), n);
+    ASSERT_EQ(pairs.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      SCOPED_TRACE(testing::Message() << "k " << k << " request " << i);
+      const auto alone = index.search_at(requests[i], *requests[i].ordinal);
+      ASSERT_EQ(alone.hits.size(), k);
+      expect_identical(wide[i], alone);
+      expect_identical(pairs[i], alone);
+      check_serial(requests[i], alone);
+    }
+  }
+}
+
+TEST(NestedFanOutT, BankedIndexAboveTheGateIsScheduleInvariant) {
+  arch::BankedOptions opt;  // circuit fidelity
+  opt.bank_rows = kWideRows;
+  BankedIndex index(opt);
+  index.configure(DistanceMetric::kHamming, 2);
+  index.store(data::random_int_vectors(4 * kWideRows, kWideDims, 4, 801));
+  const arch::BankedAm& banked = index.banked();
+  ASSERT_EQ(banked.bank_count(), 4u);
+  for (std::size_t b = 0; b < banked.bank_count(); ++b) {
+    ASSERT_GE(banked.bank(b).array()->device_count(),
+              core::kIntraQueryMinDevices);
+  }
+  expect_schedules_agree(index, [&](const SearchRequest& request,
+                                    const SearchResponse& response) {
+    // The k-NN core with its bank loop pinned serial; the k = 1 path
+    // has no pinned form.
+    if (request.k == 1) return;
+    const auto serial = banked.search_k_hits(request.query, request.k, false);
+    ASSERT_EQ(serial.size(), response.hits.size());
+    for (std::size_t j = 0; j < serial.size(); ++j) {
+      EXPECT_EQ(response.hits[j].global_row, serial[j].nearest);
+      EXPECT_EQ(response.hits[j].bank, serial[j].bank);
+      EXPECT_EQ(response.hits[j].sensed_current_a, serial[j].winner_current_a);
+      EXPECT_EQ(response.hits[j].margin_a, serial[j].margin_a);
+      EXPECT_EQ(response.hits[j].nominal_distance, serial[j].nominal_distance);
+    }
+  });
+}
+
+TEST(NestedFanOutT, ShardedFleetAboveTheGateIsScheduleInvariant) {
+  ShardedOptions opt;  // engine shards, circuit fidelity
+  opt.shards = 2;
+  opt.shard_block = kWideRows;
+  ShardedIndex fleet(opt);
+  fleet.configure(DistanceMetric::kHamming, 2);
+  fleet.store(data::random_int_vectors(2 * kWideRows, kWideDims, 4, 803));
+  const auto engine = [&](std::size_t s) -> const core::FerexEngine& {
+    return dynamic_cast<const EngineIndex&>(fleet.shard(s)).engine();
+  };
+  for (std::size_t s = 0; s < fleet.shard_count(); ++s) {
+    ASSERT_GE(engine(s).array()->device_count(), core::kIntraQueryMinDevices);
+  }
+  expect_schedules_agree(fleet, [&](const SearchRequest& request,
+                                    const SearchResponse& response) {
+    // The fleet's hits from each shard are that shard's hits with its row
+    // loop pinned serial, in order, at the fleet's ordinal (each shard
+    // overfetches one at k > 1; the merge sets the margins).
+    const std::size_t sub_k = request.k == 1 ? 1 : request.k + 1;
+    std::vector<std::vector<core::SearchResult>> serial;
+    for (std::size_t s = 0; s < fleet.shard_count(); ++s) {
+      serial.push_back(engine(s).search_hits_at(request.query, sub_k,
+                                                *request.ordinal, false));
+    }
+    std::vector<std::size_t> taken(fleet.shard_count(), 0);
+    for (const auto& hit : response.hits) {
+      ASSERT_LT(hit.bank, serial.size());
+      ASSERT_LT(taken[hit.bank], serial[hit.bank].size());
+      const auto& r = serial[hit.bank][taken[hit.bank]++];
+      EXPECT_EQ(hit.global_row, fleet.to_global(hit.bank, r.nearest));
+      EXPECT_EQ(hit.sensed_current_a, r.winner_current_a);
+      EXPECT_EQ(hit.nominal_distance, r.nominal_distance);
+    }
+  });
 }
 
 }  // namespace

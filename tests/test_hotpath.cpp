@@ -1,6 +1,6 @@
 // Equivalence suite for the flattened search hot path: the optimized
-// kernels (cached bias tables + LUT + flat SoA row solve, optional
-// intra-query row/bank parallelism) must reproduce the retained
+// kernels (cached bias tables + LUT + flat SoA row solve, row and bank
+// fan-out across the worker pool) must reproduce the retained
 // reference kernels bit for bit across metric x bits x fidelity x clamp
 // x row-length configurations. The reference always runs the portable
 // row pass and search() the widest one the CPU has, so on an AVX2 host
@@ -24,7 +24,6 @@
 #include "encode/encoder.hpp"
 #include "serve/banked_index.hpp"
 #include "serve/engine_index.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace ferex {
@@ -156,45 +155,48 @@ TEST(HotPathEncoding, NominalCurrentLutMatchesReference) {
   }
 }
 
-core::FerexOptions engine_options(core::SearchFidelity fidelity,
-                                  std::size_t intra_min_devices) {
+core::FerexOptions engine_options(core::SearchFidelity fidelity) {
   core::FerexOptions options;
   options.fidelity = fidelity;
-  options.intra_query_min_devices = intra_min_devices;
   return options;
 }
 
 TEST(HotPathEngine, IntraQueryParallelSearchIsDeterministic) {
-  const auto db = data::random_int_vectors(24, 16, 4, 3);
+  // 192 rows x 64 dims x 3 FeFETs (2-bit Manhattan) reaches the row
+  // fan-out gate at circuit fidelity; search_hits_at's `parallel_rows`
+  // pins either schedule. Results must not depend on the schedule.
+  const auto db = data::random_int_vectors(192, 64, 4, 3);
   const auto requests =
-      requests_for(data::random_int_vectors(12, 16, 4, 5));
+      requests_for(data::random_int_vectors(12, 64, 4, 5));
   for (const auto fidelity :
        {core::SearchFidelity::kCircuit, core::SearchFidelity::kNominal}) {
-    // `1` forces the row fan-out for every query (when >1 hw thread);
-    // `0` disables it. Results must not depend on the schedule.
-    serve::EngineIndex serial(engine_options(fidelity, 0));
-    serve::EngineIndex fanned(engine_options(fidelity, 1));
-    for (auto* index : {&serial, &fanned}) {
-      index->configure(DistanceMetric::kManhattan, 2);
-      index->store(db);
-    }
-    for (const auto& request : requests) {
-      expect_same_best(serial.search(request), fanned.search(request));
-    }
-    // Small batch (< pool width on multicore hosts): exercises the
-    // serial-queries + fanned-rows schedule against the fanned-queries
-    // one.
-    const auto batch_a = serial.search_batch(requests);
-    const auto batch_b = fanned.search_batch(requests);
-    ASSERT_EQ(batch_a.size(), batch_b.size());
-    for (std::size_t i = 0; i < batch_a.size(); ++i) {
-      expect_same_best(batch_a[i], batch_b[i]);
+    serve::EngineIndex index(engine_options(fidelity));
+    index.configure(DistanceMetric::kManhattan, 2);
+    index.store(db);
+    const auto& engine = index.engine();
+    ASSERT_GE(engine.array()->device_count(), core::kIntraQueryMinDevices);
+    // The batch fans across requests, each request's row loop inline;
+    // search_at fans one request's rows at circuit fidelity. The batch
+    // consumes ordinals 0, 1, 2, ...
+    const auto batch = index.search_batch(requests);
+    ASSERT_EQ(batch.size(), requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const auto& query = requests[i].query;
+      const auto serial = engine.search_hits_at(query, 1, i, false).front();
+      const auto fanned = engine.search_hits_at(query, 1, i, true).front();
+      EXPECT_EQ(serial.nearest, fanned.nearest);
+      EXPECT_EQ(serial.winner_current_a, fanned.winner_current_a);
+      EXPECT_EQ(serial.margin_a, fanned.margin_a);
+      EXPECT_EQ(batch[i].best().global_row, serial.nearest);
+      EXPECT_EQ(batch[i].best().sensed_current_a, serial.winner_current_a);
+      EXPECT_EQ(batch[i].best().margin_a, serial.margin_a);
+      expect_same_best(batch[i], index.search_at(requests[i], i));
     }
   }
 }
 
 TEST(HotPathEngine, CompositeCodecPathMatchesReferenceKernel) {
-  core::FerexEngine engine(engine_options(core::SearchFidelity::kCircuit, 1));
+  core::FerexEngine engine(engine_options(core::SearchFidelity::kCircuit));
   engine.configure_composite(DistanceMetric::kHamming, 4);
   const auto db = data::random_int_vectors(10, 6, 16, 17);
   engine.store(db);
@@ -235,7 +237,7 @@ TEST(HotPathEngine, BankedSearchUnaffectedByBankFanOut) {
 
 TEST(SclSolveCounters, EverySolveIsAccounted) {
   const std::size_t rows = 10, dims = 8;
-  core::FerexEngine engine(engine_options(core::SearchFidelity::kCircuit, 0));
+  core::FerexEngine engine(engine_options(core::SearchFidelity::kCircuit));
   engine.configure(DistanceMetric::kHamming, 2);
   engine.store(data::random_int_vectors(rows, dims, 4, 31));
   const auto* array = engine.array();
@@ -261,7 +263,7 @@ TEST(SclSolveCounters, EverySolveIsAccounted) {
 }
 
 TEST(SclSolveCounters, NominalFidelityRunsNoSolves) {
-  core::FerexEngine engine(engine_options(core::SearchFidelity::kNominal, 0));
+  core::FerexEngine engine(engine_options(core::SearchFidelity::kNominal));
   engine.configure(DistanceMetric::kHamming, 2);
   engine.store(data::random_int_vectors(6, 8, 4, 41));
   engine.array()->reset_scl_solve_stats();
@@ -272,7 +274,7 @@ TEST(SclSolveCounters, NominalFidelityRunsNoSolves) {
 }
 
 TEST(SclSolveCounters, ProfilerSurfacesConvergence) {
-  core::FerexEngine engine(engine_options(core::SearchFidelity::kCircuit, 0));
+  core::FerexEngine engine(engine_options(core::SearchFidelity::kCircuit));
   engine.configure(DistanceMetric::kHamming, 2);
   const std::size_t rows = 8;
   engine.store(data::random_int_vectors(rows, 8, 4, 47));
@@ -319,7 +321,7 @@ std::vector<SolveCase> solve_cases(std::initializer_list<bool> clamps) {
 /// 2-bit rows.
 core::FerexEngine loaded_engine(const SolveCase& c) {
   core::FerexOptions options =
-      engine_options(core::SearchFidelity::kCircuit, 0);
+      engine_options(core::SearchFidelity::kCircuit);
   options.circuit.use_opamp_clamp = c.clamp;
   core::FerexEngine engine(options);
   engine.configure(c.metric, 2);
@@ -362,7 +364,7 @@ TEST(SclSolveCounters, ConvergesFarBeyondTheAblationImpedance) {
       for (const auto metric :
            {DistanceMetric::kHamming, DistanceMetric::kEuclideanSquared}) {
         core::FerexOptions options =
-            engine_options(core::SearchFidelity::kCircuit, 0);
+            engine_options(core::SearchFidelity::kCircuit);
         options.circuit.use_opamp_clamp = false;
         options.circuit.unclamped_source_res_ohm = source_res;
         options.circuit.fet.ss_mv_per_dec = ss;

@@ -389,24 +389,19 @@ TEST(BankedMutT, RemoveRoutesThroughGlobalRowAndInsertReusesBeforeGrowth) {
   EXPECT_EQ(am.bank_count(), 3u);
 }
 
-TEST(BankedMutT, EmptiedBankStopsFiringAndIntraSettingReconciles) {
+TEST(BankedMutT, EmptiedBankStopsFiringAndRevives) {
   arch::BankedOptions opt;
   opt.bank_rows = 2;
   opt.engine.fidelity = SearchFidelity::kNominal;
-  const std::size_t intra_default = opt.engine.intra_query_min_devices;
   arch::BankedAm am(opt);
   am.configure(DistanceMetric::kHamming, 2);
   const auto db = data::random_int_vectors(4, 4, 4, 919);
   am.store(db);  // two banks
   ASSERT_EQ(am.bank_count(), 2u);
-  EXPECT_EQ(am.bank(0).options().intra_query_min_devices, 0u);
 
   am.remove(2);
   am.remove(3);
   EXPECT_EQ(am.live_bank_count(), 1u);
-  // Back to effectively one bank: the surviving bank regains its row
-  // fan-out heuristic (scheduling only, results identical either way).
-  EXPECT_EQ(am.bank(0).options().intra_query_min_devices, intra_default);
 
   // Searches skip the dead bank entirely; k spans only live rows.
   const auto q = data::random_int_vectors(1, 4, 4, 920).front();
@@ -416,10 +411,9 @@ TEST(BankedMutT, EmptiedBankStopsFiringAndIntraSettingReconciles) {
   for (const auto& h : hits) EXPECT_LT(h.nearest, 2u);
   EXPECT_THROW(am.search_k_hits(q, 3), std::invalid_argument);
 
-  // Reviving a row in the dead bank restores multi-bank scheduling.
+  // Reviving a row in the dead bank makes it fire again.
   am.update(3, std::vector<int>(4, 1));
   EXPECT_EQ(am.live_bank_count(), 2u);
-  EXPECT_EQ(am.bank(0).options().intra_query_min_devices, 0u);
 }
 
 class BankedInterleaveT : public ::testing::TestWithParam<SearchFidelity> {};

@@ -28,9 +28,6 @@ const bool kEnvForced = [] {
 TEST(PersistentPoolT, WidthHonorsTheEnvironmentOverride) {
   ASSERT_TRUE(kEnvForced);
   EXPECT_EQ(pool_width(), 4u);
-  EXPECT_EQ(worker_count(0), 1u);
-  EXPECT_EQ(worker_count(2), 2u);
-  EXPECT_EQ(worker_count(100), 4u);
 }
 
 TEST(PersistentPoolT, CoversEveryIndexExactlyOnce) {
@@ -128,69 +125,41 @@ TEST(PersistentPoolT, NestedExceptionPropagatesThroughTheOuterFanIn) {
                std::invalid_argument);
 }
 
-TEST(AffinePoolT, CoversEveryIndexExactlyOnce) {
-  std::vector<std::atomic<int>> counts(1000);
-  parallel_for_affine(counts.size(), [&](std::size_t i) {
-    counts[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
-}
-
-TEST(AffinePoolT, RepeatedCallsStayCorrectAcrossLaneReuse) {
-  // The affinity contract is about repeated fan-outs of the same item
-  // set (a banked search firing its banks every query); hammer that
-  // shape. Thread placement is best-effort, so only correctness is
-  // asserted.
-  for (int call = 0; call < 300; ++call) {
-    std::atomic<std::size_t> sum{0};
-    parallel_for_affine(7, [&](std::size_t i) {
-      sum.fetch_add(i, std::memory_order_relaxed);
+TEST(PersistentPoolT, FallbackItemsRunNestedCallsInline) {
+  // While another thread's fan-out owns the pool, a caller runs its
+  // items inline — and under the nesting rule, so an item's own fan-out
+  // stays on the caller even once the pool has been freed.
+  std::atomic<bool> release{false};
+  std::atomic<int> owner_items{0};
+  std::thread owner([&] {
+    parallel_for(4, [&](std::size_t) {
+      owner_items.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
     });
-    EXPECT_EQ(sum.load(), 7u * 6u / 2u);
-  }
-}
-
-TEST(AffinePoolT, StealingCoversLanesOfBusyParticipants) {
-  // More items than participants, with one item slow: the slow lane's
-  // remaining items must still be claimed by the other participants.
-  std::vector<std::atomic<int>> counts(64);
-  parallel_for_affine(counts.size(), [&](std::size_t i) {
-    if (i == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    counts[i].fetch_add(1, std::memory_order_relaxed);
   });
-  for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
-}
+  // An owner item is running, so the owner's fan-out holds the pool.
+  while (owner_items.load() == 0) std::this_thread::yield();
 
-TEST(AffinePoolT, FirstExceptionPropagatesAndPoolSurvives) {
-  EXPECT_THROW(
-      parallel_for_affine(100,
-                          [&](std::size_t i) {
-                            if (i == 13) throw std::runtime_error("boom");
-                          }),
-      std::runtime_error);
-  std::atomic<int> done{0};
-  parallel_for_affine(50, [&](std::size_t) {
-    done.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(done.load(), 50);
-}
-
-TEST(AffinePoolT, NestedAffineCallsRunInline) {
-  std::atomic<bool> nested_ok{true};
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> on_caller{true};
+  std::atomic<bool> under_rule{true};
   std::atomic<int> nested_items{0};
-  parallel_for_affine(4, [&](std::size_t) {
-    const auto outer_thread = std::this_thread::get_id();
-    parallel_for_affine(4, [&](std::size_t) {
+  parallel_for(4, [&](std::size_t i) {
+    if (std::this_thread::get_id() != caller) on_caller.store(false);
+    if (!on_pool_worker()) under_rule.store(false);
+    if (i == 0) {
+      release.store(true);
+      owner.join();  // the pool is free from here on
+    }
+    parallel_for(8, [&](std::size_t) {
       nested_items.fetch_add(1, std::memory_order_relaxed);
-      if (std::this_thread::get_id() != outer_thread) {
-        nested_ok.store(false);
-      }
+      if (std::this_thread::get_id() != caller) on_caller.store(false);
     });
   });
-  EXPECT_TRUE(nested_ok.load());
-  EXPECT_EQ(nested_items.load(), 16);
+  EXPECT_TRUE(on_caller.load());
+  EXPECT_TRUE(under_rule.load());
+  EXPECT_EQ(nested_items.load(), 32);
+  EXPECT_FALSE(on_pool_worker());
 }
 
 TEST(PersistentPoolT, ZeroAndSingleItemRunInline) {

@@ -313,7 +313,6 @@ TEST(ServeT, BankedMarginIsGapBetweenTwoBestBankWinners) {
   for (std::size_t start = 0; start < db.size(); start += opt.bank_rows) {
     core::FerexOptions engine_opt = opt.engine;
     engine_opt.seed = opt.engine.seed + 0x9e37 * (start + 1);
-    engine_opt.intra_query_min_devices = 0;
     core::FerexEngine bank(engine_opt);
     bank.configure(DistanceMetric::kHamming, 2);
     bank.store({db.begin() + start,

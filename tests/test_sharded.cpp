@@ -170,17 +170,12 @@ std::unique_ptr<serve::AmIndex> make_unsharded(
 }
 
 /// The exact per-shard reference index shard `s` must be bit-identical
-/// to: same backend geometry, seed = ShardedIndex::shard_seed, and (for
-/// a multi-shard engine fleet) per-shard row fan-out disabled because
-/// the fleet owns the cross-shard fan.
+/// to: same backend geometry and seed = ShardedIndex::shard_seed.
 std::unique_ptr<serve::AmIndex> make_reference_shard(
     const serve::ShardedOptions& options, std::size_t shard,
     const std::vector<std::vector<int>>& slice) {
   auto engine = options.engine;
   engine.seed = serve::ShardedIndex::shard_seed(options, shard);
-  if (options.backend == serve::ShardBackend::kEngine && options.shards > 1) {
-    engine.intra_query_min_devices = 0;
-  }
   std::unique_ptr<serve::AmIndex> index;
   if (options.backend == serve::ShardBackend::kBanked) {
     arch::BankedOptions banked;
