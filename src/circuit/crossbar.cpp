@@ -1,11 +1,14 @@
 #include "circuit/crossbar.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
+#include "circuit/row_pass.hpp"
 #include "device/preisach.hpp"
 #include "util/parallel.hpp"
 
@@ -40,11 +43,12 @@ constexpr double kSclToleranceV = 1e-7;
 // masks, which both compilers accept and which compile without branches.
 //
 // W = 2 is an SSE2 register at the baseline x86-64 ISA; W = 4 is one AVX
-// register and is only instantiated inside the target("avx2") pass. A
-// 32-byte vector passed or returned by value changes the ABI of a
-// function compiled without AVX (-Wpsabi), so the helpers below take
-// vectors by reference and hand results back through out-parameters,
-// and reinterpret bits with __builtin_bit_cast, which is not a call.
+// register and W = 8 one AVX-512 register, each instantiated only inside
+// the pass whose target enables it. A vector wider than 16 bytes passed
+// or returned by value changes the ABI of a function compiled without
+// that ISA (-Wpsabi), so the helpers below take vectors by reference and
+// hand results back through out-parameters, and reinterpret bits with
+// __builtin_bit_cast, which is not a call.
 template <int W>
 struct Lanes;
 template <>
@@ -56,6 +60,11 @@ template <>
 struct Lanes<4> {
   using Vec = double __attribute__((vector_size(32)));
   using Mask = std::int64_t __attribute__((vector_size(32)));
+};
+template <>
+struct Lanes<8> {
+  using Vec = double __attribute__((vector_size(64)));
+  using Mask = std::int64_t __attribute__((vector_size(64)));
 };
 
 template <int W>
@@ -81,32 +90,21 @@ template <typename Vec, typename Mask>
                                         Vec& out) {
   out = __builtin_bit_cast(Vec, __builtin_bit_cast(Mask, a) & m);
 }
+/// `sum += v's low half`, then `sum += its high half`.
+template <typename Half, typename Vec>
+[[gnu::always_inline]] inline void add_halves(const Vec& v, Half& sum) {
+  Half half{};
+  std::memcpy(&half, &v, sizeof half);
+  sum += half;
+  std::memcpy(&half, reinterpret_cast<const char*>(&v) + sizeof half,
+              sizeof half);
+  sum += half;
+}
 
-/// One row of devices under one query: the query's per-column biases and
-/// the row's per-device state, all indexed by device column.
-struct RowDevices {
-  const double* vgs;          ///< gate bias [V]
-  const double* vds;          ///< drain bias [V]
-  const double* gate_factor;  ///< exp(Vgs*a)
-  const double* vth;          ///< programmed Vth [V]
-  const double* inv_r;        ///< 1 / series R
-  const double* vth_factor;   ///< exp(-Vth*a)
-  std::size_t count;
-};
-
-/// Device constants shared by every cell of the array.
-struct CellModel {
-  double isat_a;
-  double min_leak_a;
-  double alpha;  ///< ln10 / SS [1/V]
-};
-
-/// Row current I(v) and its small-signal conductance G = -dI/dv >= 0 at
-/// one ScL potential.
-struct RowPass {
-  double current_a = 0.0;
-  double conductance_s = 0.0;
-};
+using detail::CellModel;
+using detail::RowDevices;
+using detail::RowPass;
+using detail::RowPassFn;
 
 /// Per-pass constants, splatted once per pass.
 template <int W>
@@ -123,13 +121,14 @@ struct PassConstants {
 // and G is 1/R ohmic, a*term subthreshold, and 0 saturated, on the
 // leakage floor or cut off. Every select takes one comparison's mask:
 // GCC 12 scalarizes a select on a combined mask into per-lane branches.
+// No multiply feeds an add, so there is nothing to fuse into an FMA.
 template <int W>
-[[gnu::always_inline]] inline void add_cells(const RowDevices& row,
-                                             std::size_t j,
-                                             const PassConstants<W>& k,
-                                             typename Lanes<W>::Vec& current,
-                                             typename Lanes<W>::Vec&
-                                                 conductance) {
+[[gnu::always_inline]] inline void cells(const RowDevices& row,
+                                         std::size_t j,
+                                         const PassConstants<W>& k,
+                                         typename Lanes<W>::Vec& current,
+                                         typename Lanes<W>::Vec&
+                                             conductance) {
   using Vec = typename Lanes<W>::Vec;
   using Mask = typename Lanes<W>::Mask;
   Vec vgs{}, vds{}, gate{}, vth{}, inv_r{}, vth_factor{};
@@ -152,63 +151,82 @@ template <int W>
   const Vec ohm = vds_eff * inv_r;
   const auto ohmic = __builtin_bit_cast(Mask, ohm < fet);
   const auto conducting = __builtin_bit_cast(Mask, Vec{} < vds_eff);
-  Vec cell_current{}, cell_conductance{};
-  select(ohmic, ohm, fet, cell_current);
-  select(ohmic, inv_r, fet_conductance, cell_conductance);
-  keep(conducting, cell_current, cell_current);
-  keep(conducting, cell_conductance, cell_conductance);
-  current += cell_current;
-  conductance += cell_conductance;
+  select(ohmic, ohm, fet, current);
+  select(ohmic, inv_r, fet_conductance, conductance);
+  keep(conducting, current, current);
+  keep(conducting, conductance, conductance);
 }
 
-// One pass over a row in 4/W registers of W lanes. Device j adds into
-// lane j mod 4 (register (j mod 4) / W); the lanes join as
-// (l0 + l1) + (l2 + l3), so every W gives the same bits. A ragged tail
-// is zero-padded: a padded cell has Vds = 0, is cut off at any v >= 0
-// and adds exactly +0.
+/// A pass's four sum lanes, for current and for conductance, in 4/N
+/// registers of N = min(W, 4) lanes; register r holds lanes r*N onwards.
+template <int W>
+struct LaneSums {
+  static constexpr int kWidth = W < 4 ? W : 4;
+  typename Lanes<kWidth>::Vec current[4 / kWidth] = {};
+  typename Lanes<kWidth>::Vec conductance[4 / kWidth] = {};
+};
+
+// Adds the block of max(W, 4) devices from device j on into the lane
+// sums, device j into lane j mod 4 in device order. W <= 4 adds each
+// register of cells into its own lanes. W = 8 adds devices j .. j+3 (the
+// low half) and then j+4 .. j+7 (the high half) into the one four-lane
+// register, which is the order a four-device block gives them.
+template <int W>
+[[gnu::always_inline]] inline void add_block(const RowDevices& row,
+                                             std::size_t j,
+                                             const PassConstants<W>& k,
+                                             LaneSums<W>& sums) {
+  typename Lanes<W>::Vec current{}, conductance{};
+  if constexpr (W <= 4) {
+    for (std::size_t r = 0; r < 4 / W; ++r) {
+      cells(row, j + r * W, k, current, conductance);
+      sums.current[r] += current;
+      sums.conductance[r] += conductance;
+    }
+  } else {
+    cells(row, j, k, current, conductance);
+    add_halves(current, sums.current[0]);
+    add_halves(conductance, sums.conductance[0]);
+  }
+}
+
+// One pass over a row in blocks of max(W, 4) devices. Device j adds into
+// lane j mod 4 in device order, and the lanes join as (l0 + l1) +
+// (l2 + l3), so every W gives the same bits. A ragged tail is
+// zero-padded to one block: a padded cell has Vds = 0, is cut off at any
+// v >= 0 and adds exactly +0.
 template <int W>
 [[gnu::always_inline]] inline RowPass row_pass_body(const RowDevices& row,
                                                     const CellModel& model,
                                                     double v_scl,
                                                     double scl_factor) {
-  using Vec = typename Lanes<W>::Vec;
-  constexpr std::size_t kRegisters = 4 / W;
+  constexpr std::size_t kBlock = W < 4 ? 4 : W;
   PassConstants<W> k{};
   splat<W>(v_scl, k.v_scl);
   splat<W>(scl_factor, k.scl_factor);
   splat<W>(model.isat_a, k.isat);
   splat<W>(model.min_leak_a, k.min_leak);
   splat<W>(model.alpha, k.alpha);
-  Vec current[kRegisters] = {};
-  Vec conductance[kRegisters] = {};
-  const std::size_t full = row.count - row.count % 4;
-  for (std::size_t j = 0; j < full; j += 4) {
-    for (std::size_t r = 0; r < kRegisters; ++r) {
-      add_cells(row, j + r * W, k, current[r], conductance[r]);
-    }
-  }
+  LaneSums<W> sums;
+  const std::size_t full = row.count - row.count % kBlock;
+  for (std::size_t j = 0; j < full; j += kBlock) add_block(row, j, k, sums);
   if (full < row.count) {
-    double tail[6][4] = {};
+    double tail[6][kBlock] = {};
     const double* const spans[6] = {row.vgs, row.vds, row.gate_factor,
                                     row.vth, row.inv_r, row.vth_factor};
     for (std::size_t s = 0; s < 6; ++s) {
       std::copy(spans[s] + full, spans[s] + row.count, tail[s]);
     }
     const RowDevices padded{tail[0], tail[1], tail[2],
-                            tail[3], tail[4], tail[5], 4};
-    for (std::size_t r = 0; r < kRegisters; ++r) {
-      add_cells(padded, r * W, k, current[r], conductance[r]);
-    }
+                            tail[3], tail[4], tail[5], kBlock};
+    add_block(padded, 0, k, sums);
   }
   // The registers hold lanes 0-3 in order.
   double i[4] = {}, g[4] = {};
-  std::memcpy(i, current, sizeof i);
-  std::memcpy(g, conductance, sizeof g);
+  std::memcpy(i, sums.current, sizeof i);
+  std::memcpy(g, sums.conductance, sizeof g);
   return {(i[0] + i[1]) + (i[2] + i[3]), (g[0] + g[1]) + (g[2] + g[3])};
 }
-
-using RowPassFn = RowPass (*)(const RowDevices&, const CellModel&, double,
-                              double);
 
 // The portable pass: two 2-wide registers per block of four devices,
 // SSE2 at the baseline x86-64 ISA. search_reference() always runs it.
@@ -218,28 +236,24 @@ RowPass row_pass_portable(const RowDevices& row, const CellModel& model,
 }
 
 #if defined(__x86_64__)
-// The same body in one 256-bit register per block. The target adds avx2
-// alone, never fma, and the library builds with -ffp-contract=off, so no
-// multiply-add is fused and every lane rounds as in the portable pass.
+// The same body in one 256-bit register per block of four, and in one
+// 512-bit register per block of eight. Each target names exactly the
+// features runnable_row_passes() checks for before it lists the pass.
+// avx512f enables FMA, but no multiply in the body feeds an add (and the
+// library builds with -ffp-contract=off besides), so nothing is fused
+// and every lane rounds as in the portable pass.
 __attribute__((target("avx2"))) RowPass row_pass_avx2(
     const RowDevices& row, const CellModel& model, double v_scl,
     double scl_factor) {
   return row_pass_body<4>(row, model, v_scl, scl_factor);
 }
-#endif
 
-/// The pass search() runs, chosen once per process from what the CPU
-/// supports.
-RowPassFn dispatched_row_pass() {
-  static const RowPassFn pass = []() -> RowPassFn {
-#if defined(__x86_64__)
-    __builtin_cpu_init();  // in case this first runs from a static initializer
-    if (__builtin_cpu_supports("avx2")) return &row_pass_avx2;
-#endif
-    return &row_pass_portable;
-  }();
-  return pass;
+__attribute__((target("avx512f"))) RowPass row_pass_avx512(
+    const RowDevices& row, const CellModel& model, double v_scl,
+    double scl_factor) {
+  return row_pass_body<8>(row, model, v_scl, scl_factor);
 }
+#endif
 
 struct SclSolve {
   double current_a = 0.0;
@@ -294,11 +308,31 @@ SclSolve solve_scl(const RowDevices& row, const CellModel& model,
 
 }  // namespace
 
-const char* row_pass_isa() noexcept {
+namespace detail {
+
+std::span<const CompiledRowPass> runnable_row_passes() noexcept {
+  static const auto table = [] {
+    std::array<CompiledRowPass, 3> passes{};
+    std::size_t count = 0;
+    passes[count++] = {"portable", &row_pass_portable};
 #if defined(__x86_64__)
-  if (dispatched_row_pass() == &row_pass_avx2) return "avx2";
+    __builtin_cpu_init();  // in case this first runs from a static initializer
+    if (__builtin_cpu_supports("avx2")) {
+      passes[count++] = {"avx2", &row_pass_avx2};
+    }
+    if (__builtin_cpu_supports("avx512f")) {
+      passes[count++] = {"avx512", &row_pass_avx512};
+    }
 #endif
-  return "portable";
+    return std::pair{passes, count};
+  }();
+  return {table.first.data(), table.second};
+}
+
+}  // namespace detail
+
+const char* row_pass_isa() noexcept {
+  return detail::runnable_row_passes().back().isa;
 }
 
 CrossbarArray::CrossbarArray(std::size_t rows, std::size_t dims,
@@ -524,7 +558,7 @@ std::vector<double> CrossbarArray::search(std::span<const int> query,
   const CellModel model{config_.fet.isat_a, config_.fet.min_leak_a,
                         subvt_alpha_};
   const double source_res = source_res_ohm();
-  const RowPassFn row_pass = dispatched_row_pass();
+  const RowPassFn row_pass = detail::runnable_row_passes().back().run;
   std::vector<double> currents(rows_);
   std::vector<SclSolve> solves(rows_);
   const auto run_row = [&](std::size_t row) {

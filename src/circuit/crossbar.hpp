@@ -29,15 +29,17 @@
 // would leave the bracket, or would not halve the step before last,
 // bisects it instead. Each pass returns I and
 // the row conductance G = -dI/dv together, each summed in four lanes
-// (device j into lane j mod 4, joined as (l0 + l1) + (l2 + l3)). One
-// body builds two passes: a portable one in two 2-wide vectors (SSE2 at
-// the baseline x86-64 ISA) and, on x86-64, an AVX2 one in one 4-wide
-// vector. search() runs the AVX2 pass when the CPU has it
-// (row_pass_isa() names the choice); the lane order makes both give the
-// same bits. search_reference() re-derives every factor and bias per
-// query and per row and then runs the same solve with the portable pass,
-// so tests can assert the cached tables and the AVX2 pass reproduce it
-// bit for bit.
+// (device j into lane j mod 4 in device order, joined as
+// (l0 + l1) + (l2 + l3)). One body builds three passes: a portable one in
+// two 2-wide vectors (SSE2 at the baseline x86-64 ISA) and, on x86-64, an
+// AVX2 one in one 4-wide vector and an AVX-512 one in one 8-wide vector,
+// which adds a block's devices j..j+3 and then j+4..j+7 into the four
+// lanes. search() runs the widest pass the CPU has (row_pass_isa() names
+// the choice); the lane order makes all three give the same bits.
+// search_reference() re-derives every factor and bias per query and per
+// row and then runs the same solve with the portable pass, so tests can
+// assert the cached tables and the wider passes reproduce it bit for bit
+// (circuit/row_pass.hpp lists the passes for tests that run each).
 #pragma once
 
 #include <atomic>
@@ -89,9 +91,9 @@ struct SclSolveStats {
 };
 
 /// The instruction set of the row pass CrossbarArray::search runs in this
-/// process: "avx2" on an x86-64 CPU that has it, else "portable" (2-wide
-/// vectors at the baseline ISA). Chosen once per process from the CPU;
-/// both passes give the same bits.
+/// process: "avx512" on an x86-64 CPU with AVX-512F, else "avx2" on one
+/// with AVX2, else "portable" (2-wide vectors at the baseline ISA).
+/// Chosen once per process from the CPU; every pass gives the same bits.
 const char* row_pass_isa() noexcept;
 
 class CrossbarArray {
@@ -190,7 +192,7 @@ class CrossbarArray {
   /// encoding/ladder per query and per-device factors per row, no cached
   /// tables, and always the portable row pass. Same row solve as the
   /// optimized kernel, so the two agree bit for bit; retained to guard
-  /// the tables, the gather and the AVX2 pass.
+  /// the tables, the gather and the wider passes.
   std::vector<double> search_reference(std::span<const int> query) const;
 
   /// Ideal integer distance the array should report for (query, row),

@@ -3,8 +3,10 @@
 // fan-out across the worker pool) must reproduce the retained
 // reference kernels bit for bit across metric x bits x fidelity x clamp
 // x row-length configurations. The reference always runs the portable
-// row pass and search() the widest one the CPU has, so on an AVX2 host
-// the same suite shows results do not depend on the instruction set.
+// row pass and search() the widest one the CPU has, so on an AVX2 or
+// AVX-512 host the same suite shows results do not depend on the
+// instruction set; RowPasses checks every other compiled pass the CPU can
+// run against the portable one directly.
 // The ScL solve counters must account for every solve, every solve must
 // converge, and the Newton solve must agree with the damped fixed-point
 // solve it replaced wherever that one converged.
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "circuit/crossbar.hpp"
+#include "circuit/row_pass.hpp"
 #include "core/ferex.hpp"
 #include "core/profiler.hpp"
 #include "data/datasets.hpp"
@@ -75,10 +78,11 @@ TEST_P(KernelEquivalence, OptimizedSearchMatchesReferenceBitForBit) {
   const device::VoltageLadder ladder(enc->ladder_levels(), 0.2,
                                      1.5 / static_cast<double>(
                                                enc->ladder_levels()));
-  // With 2, 3 or 4 FeFETs per cell these rows hold 2-4 devices (shorter
-  // than one four-lane block), 6-12 and 18-36: every remainder mod 4 of
-  // the zero-padded tail, with the clamp on and off.
-  for (const std::size_t dims : {1, 3, 9}) {
+  // With 2, 3 or 4 FeFETs per cell these rows hold 2 to 36 devices:
+  // rows shorter than one four- or eight-device block, full eight-device
+  // blocks with and without a tail, and every remainder mod 8 that the
+  // cell width allows, with the clamp on and off.
+  for (std::size_t dims = 1; dims <= 9; ++dims) {
     SCOPED_TRACE("dims " + std::to_string(dims));
     util::Rng rng(7);
     const std::size_t rows = 12;
@@ -124,17 +128,94 @@ INSTANTIATE_TEST_SUITE_P(
                                true}),
     case_name);
 
-TEST(RowPassDispatch, SearchRunsAvx2WhereTheCpuHasIt) {
+TEST(RowPassDispatch, SearchRunsTheWidestPassTheCpuHas) {
   // KernelEquivalence compares search() with the portable pass; if the
-  // dispatch fell back to that pass on an AVX2 host, it would compare the
-  // portable pass with itself and prove nothing about the AVX2 one.
+  // dispatch fell back to a narrower pass than the CPU can run, the widest
+  // pass would go untested there, and RowPasses only checks listed passes.
+  std::vector<std::string> expected{"portable"};
 #if defined(__x86_64__)
-  if (__builtin_cpu_supports("avx2")) {
-    EXPECT_STREQ(circuit::row_pass_isa(), "avx2");
-    return;
-  }
+  if (__builtin_cpu_supports("avx2")) expected.push_back("avx2");
+  if (__builtin_cpu_supports("avx512f")) expected.push_back("avx512");
 #endif
-  EXPECT_STREQ(circuit::row_pass_isa(), "portable");
+  std::vector<std::string> listed;
+  for (const auto& pass : circuit::detail::runnable_row_passes()) {
+    listed.emplace_back(pass.isa);
+  }
+  EXPECT_EQ(listed, expected);
+  EXPECT_EQ(circuit::row_pass_isa(), expected.back());
+}
+
+/// The per-device spans of one row, as a row pass reads them.
+struct RowSpans {
+  std::vector<double> vgs, vds, gate_factor, vth, inv_r, vth_factor;
+
+  circuit::detail::RowDevices devices() const {
+    return {vgs.data(),   vds.data(),   gate_factor.data(),
+            vth.data(),   inv_r.data(), vth_factor.data(),
+            vgs.size()};
+  }
+};
+
+/// A row of `count` random devices spread over every regime a cell takes
+/// in the potentials RowPasses uses: cut off (Vds = 0, or below the ScL
+/// potential), saturated, subthreshold above and below the leakage floor,
+/// and limited by the series resistor.
+RowSpans random_row(std::size_t count, double alpha,
+                    const circuit::CrossbarConfig& config, util::Rng& rng) {
+  RowSpans row;
+  for (std::size_t j = 0; j < count; ++j) {
+    const double vgs = rng.uniform(0.2, 1.7);
+    const double vth = vgs + rng.uniform(-0.3, 0.6);
+    row.vgs.push_back(vgs);
+    row.vds.push_back(config.cell.vds_unit_v *
+                      static_cast<double>(rng.uniform_int(0, 3)));
+    row.gate_factor.push_back(std::exp(vgs * alpha));
+    row.vth.push_back(vth);
+    row.inv_r.push_back(std::pow(10.0, -rng.uniform(4.0, 7.0)));
+    row.vth_factor.push_back(std::exp(-vth * alpha));
+  }
+  return row;
+}
+
+TEST(RowPasses, EveryCompiledPassMatchesThePortablePassBitForBit) {
+  // Rows of 1 to 40 devices: every remainder mod 4 and mod 8 of the
+  // zero-padded tail, rows shorter than one block and rows of several
+  // full blocks. Each pass is compared with the portable one at Vscl = 0,
+  // at the middle of the Newton bracket [0, R*I(0)] with the clamp on and
+  // off, and where a device changes regime: the unit drain bias (devices
+  // at Vds = vds_unit cut off) and the largest Vgs - Vth in the row (the
+  // device deepest in saturation turns subthreshold).
+  const circuit::CrossbarConfig config;
+  const double alpha = std::log(10.0) / (config.fet.ss_mv_per_dec * 1e-3);
+  const circuit::detail::CellModel model{config.fet.isat_a,
+                                         config.fet.min_leak_a, alpha};
+  const auto passes = circuit::detail::runnable_row_passes();
+  ASSERT_STREQ(passes.front().isa, "portable");
+  util::Rng rng(71);
+  for (std::size_t count = 1; count <= 40; ++count) {
+    const auto spans = random_row(count, alpha, config, rng);
+    const auto row = spans.devices();
+    const double i0 = passes.front().run(row, model, 0.0, 1.0).current_a;
+    double overdrive = 0.0;
+    for (std::size_t j = 0; j < count; ++j) {
+      overdrive = std::max(overdrive, spans.vgs[j] - spans.vth[j]);
+    }
+    const double potentials[] = {0.0,
+                                 0.5 * config.opamp.output_res_ohm * i0,
+                                 0.5 * config.unclamped_source_res_ohm * i0,
+                                 config.cell.vds_unit_v, overdrive};
+    for (const double v : potentials) {
+      const double scl_factor = std::exp(-v * alpha);
+      const auto want = passes.front().run(row, model, v, scl_factor);
+      for (const auto& pass : passes.subspan(1)) {
+        const auto got = pass.run(row, model, v, scl_factor);
+        EXPECT_EQ(got.current_a, want.current_a)
+            << pass.isa << ", " << count << " devices, v " << v;
+        EXPECT_EQ(got.conductance_s, want.conductance_s)
+            << pass.isa << ", " << count << " devices, v " << v;
+      }
+    }
+  }
 }
 
 TEST(HotPathEncoding, NominalCurrentLutMatchesReference) {
