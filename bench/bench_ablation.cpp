@@ -134,7 +134,7 @@ std::uint64_t ablation_clamp() {
       db.push_back(flip(3));
       for (int i = 0; i < 9; ++i) db.push_back(flip(12));
       engine.store(db);
-      if (engine.search_hits_at(query, 1, 0).front().nearest == 0) ++correct;
+      if (engine.search_hits_at(query, 1, 0).front().global_row == 0) ++correct;
       non_converged += non_converged_solves(engine);
     }
     t.add_row({clamp ? "on" : "off (ablated)",
@@ -214,7 +214,7 @@ std::uint64_t ablation_margin() {
       db.push_back(at_hd(5));
       for (int i = 0; i < 15; ++i) db.push_back(at_hd(6));
       engine.store(db);
-      if (engine.search_hits_at(query, 1, 0).front().nearest == 0) ++correct;
+      if (engine.search_hits_at(query, 1, 0).front().global_row == 0) ++correct;
       non_converged += non_converged_solves(engine);
     }
     t.add_row({util::TextTable::fmt(step, 2),

@@ -5,16 +5,19 @@
 // Real workloads — e.g. KNN over thousands of training vectors — need the
 // database *banked* across several macros:
 //
-//   * rows are partitioned row-major across `bank_rows`-sized macros;
+//   * rows are partitioned row-major across `bank_rows`-sized macros:
+//     every bank but the last is full, so global row r lives in bank
+//     r / bank_rows;
 //   * one search broadcasts the query to every bank in parallel;
-//   * each bank's LTA produces a local winner (current + index);
-//   * a global comparison stage over the per-bank winner currents picks
-//     the overall nearest neighbor — a noiseless decision, ties to the
-//     lowest bank.
+//   * each bank decides locally (its LTA winner for k = 1, its noiseless
+//     top rows for k-NN);
+//   * a global comparison stage over the bank results picks the overall
+//     nearest rows — arch::merge_hits, the same noiseless head merge
+//     the serving fleet runs over its shards, ties to the lowest row.
 //
 // Banks share the search-line drivers, so delay is one bank search plus
 // the global-LTA stage; energy is the sum over banks plus the global
-// stage. k-NN is served by iterative masking at the global level.
+// stage.
 //
 // On the host, a circuit-fidelity search over at least
 // core::kIntraQueryMinDevices devices fans its banks across
@@ -31,33 +34,13 @@
 #include <vector>
 
 #include "core/ferex.hpp"
+#include "core/hit.hpp"
 
 namespace ferex::arch {
 
 struct BankedOptions {
   std::size_t bank_rows = 128;      ///< max stored vectors per macro
   core::FerexOptions engine{};      ///< per-macro configuration
-};
-
-/// Result of a banked search — field parity with core::SearchResult plus
-/// the bank coordinate, so single-macro and banked hits interchange.
-struct BankedSearchResult {
-  std::size_t nearest = 0;          ///< global row index
-  std::size_t bank = 0;             ///< bank holding the winner
-  double winner_current_a = 0.0;    ///< winner's sensed current
-  /// Sensed gap at the global comparison stage: with several banks, the
-  /// distance between the two best bank winners; with one bank, that
-  /// bank's own margin (the global stage over a single input is an
-  /// identity). For k-NN hits, the gap to the best remaining row.
-  double margin_a = 0.0;
-  int nominal_distance = 0;         ///< encoding-level distance of winner
-};
-
-/// Receipt for one write-path operation (insert / remove / update).
-struct BankedWrite {
-  std::size_t global_row = 0;       ///< the row written (or erased)
-  std::size_t bank = 0;             ///< bank holding it
-  circuit::WriteCost cost{};        ///< write cost of the operation
 };
 
 /// A database of vectors partitioned across FeReX macros.
@@ -83,20 +66,21 @@ class BankedAm {
   /// the same physical layout. Returns where the row landed and its
   /// write cost. Throws without mutating on a wrong-length or
   /// out-of-alphabet vector.
-  BankedWrite insert(std::span<const int> vector);
+  core::WriteReceipt insert(std::span<const int> vector);
 
   /// Deletes one row by global index: routes to the owning bank's
   /// engine, which erases the slot and masks it in the post-decoder (it
-  /// can never win a global LTA round; a bank whose rows are all removed
-  /// stops firing entirely). The freed slot is the first insert()
-  /// reuses. Returns the erase cost. Throws std::out_of_range on a bad
-  /// index, std::logic_error when the row is already removed.
-  BankedWrite remove(std::size_t global_row);
+  /// can never be a hit; a bank whose rows are all removed stops firing
+  /// entirely). The freed slot is the first insert() reuses. Returns the
+  /// erase cost. Throws std::out_of_range on a bad index,
+  /// std::logic_error when the row is already removed.
+  core::WriteReceipt remove(std::size_t global_row);
 
   /// Overwrites one row in place by global index (erase + program-and-
   /// verify on a live slot, program-only on a removed one, which becomes
   /// live again). Validates before mutating.
-  BankedWrite update(std::size_t global_row, std::span<const int> vector);
+  core::WriteReceipt update(std::size_t global_row,
+                            std::span<const int> vector);
 
   std::size_t bank_count() const noexcept { return banks_.size(); }
 
@@ -128,27 +112,33 @@ class BankedAm {
   }
 
   /// Global nearest neighbor at an explicit query ordinal (k = 1): every
-  /// bank's LTA resolves its winner, then the global comparator picks
-  /// between the bank winners. The ordinal selects every bank's
-  /// comparator-noise stream, so results do not depend on execution
-  /// order; the banked AM counts no ordinals (serve::BankedIndex does).
+  /// live bank's LTA resolves its winner (search_hits_at at k = 1), then
+  /// merge_hits picks between the bank winners. The margin is the gap to
+  /// the best other bank winner; a sole live bank's own margin passes
+  /// through. The ordinal selects every bank's comparator-noise stream,
+  /// so results do not depend on execution order; the banked AM counts
+  /// no ordinals (serve::BankedIndex does).
   /// When the work-size gate allows (several live banks, circuit
   /// fidelity, total devices across banks reaching
   /// core::kIntraQueryMinDevices), the banks fan across
   /// util::parallel_for — the hardware fires all macros at once, and a
   /// single query should too. The schedule never affects results.
-  BankedSearchResult search_at(std::span<const int> query,
-                               std::uint64_t ordinal) const;
+  core::Hit search_at(std::span<const int> query,
+                      std::uint64_t ordinal) const;
 
   /// The k-NN core: top-k rows nearest first with full hit detail
   /// (sensed current, margin to the best remaining row, nominal
-  /// distance). Deterministic, unlike the two-stage single-NN path:
-  /// every bank exposes its raw row currents and the global post-decoder
-  /// masks iteratively, with no per-bank LTA decisions and hence no
-  /// comparator-noise draws — so it takes no ordinal. Banks fan as in
-  /// search_at; `parallel_banks` pins the schedule instead (tests and
-  /// per-layer timing pass false for the serial bank loop).
-  std::vector<BankedSearchResult> search_k_hits(
+  /// distance). Deterministic, unlike the single-NN path: each live bank
+  /// senses its raw row currents and masks iteratively through a
+  /// noiseless LTA for its best min(k + 1, live rows) — k when it is the
+  /// only live bank — and merge_hits combines them. The one overfetched
+  /// row per bank keeps the true runner-up in the merge, so the hits and
+  /// margins equal one noiseless masking pass over every row. No
+  /// comparator-noise draws, so it takes no ordinal. Banks fan as in
+  /// search_at, each deciding inside the fan-out; `parallel_banks` pins
+  /// the schedule instead (tests and per-layer timing pass false for the
+  /// serial bank loop).
+  std::vector<core::Hit> search_k_hits(
       std::span<const int> query, std::size_t k,
       std::optional<bool> parallel_banks = std::nullopt) const;
 
@@ -167,10 +157,8 @@ class BankedAm {
   double search_energy_j() const;
 
   /// Complete mutable state for a durable snapshot: every bank engine's
-  /// state and its global offset. The byte format lives in
-  /// serve/snapshot.
+  /// state, in bank order. The byte format lives in serve/snapshot.
   struct BankedState {
-    std::vector<std::size_t> bank_offsets;
     std::vector<core::FerexEngine::EngineState> banks;
   };
 
@@ -178,11 +166,13 @@ class BankedAm {
   BankedState snapshot_state() const;
 
   /// Installs a previously exported state. Requires configure() with
-  /// the same metric/bits/options the snapshot was taken under. Banks
-  /// are reconstructed with the same per-bank seed formula store() uses,
-  /// then each engine restores its exact state — searches, and every
-  /// subsequent insert's variation draw, are bit-identical to the
-  /// uninterrupted instance.
+  /// the same metric/bits/options the snapshot was taken under, and the
+  /// shape store() and insert() produce: every bank but the last holding
+  /// bank_rows rows, the last 1..bank_rows (else std::invalid_argument,
+  /// with nothing changed). Banks are reconstructed with the same
+  /// per-bank seed formula store() uses, then each engine restores its
+  /// exact state — searches, and every subsequent insert's variation
+  /// draw, are bit-identical to the uninterrupted instance.
   void restore_state(BankedState state);
 
   /// Tombstone compaction: re-packs the live rows densely via store(),
@@ -192,14 +182,12 @@ class BankedAm {
   std::size_t compact();
 
  private:
-  std::size_t global_index(std::size_t bank, std::size_t local) const;
-  /// Bank holding a global row index.
-  std::size_t bank_of(std::size_t global_row) const;
-  /// A configured, empty engine for the bank whose first global row is
-  /// `start`, with the per-bank seed decorrelation formula store() and
-  /// insert() share (bit-identity of the two population paths depends on
-  /// both using exactly this).
-  std::unique_ptr<core::FerexEngine> make_bank(std::size_t start) const;
+  /// A configured, empty engine for bank `b`, with the per-bank seed
+  /// decorrelation formula store() and insert() share (bit-identity of
+  /// the two population paths depends on both using exactly this).
+  std::unique_ptr<core::FerexEngine> make_bank(std::size_t b) const;
+  /// Moves one bank's hits from its local rows to global rows.
+  void to_global(std::size_t bank, std::vector<core::Hit>& hits) const;
   void check_query(std::span<const int> query) const;
   /// Work-size gate for fanning banks across the pool: several banks
   /// holding live rows, circuit fidelity, and total devices across banks
@@ -213,8 +201,9 @@ class BankedAm {
   int bits_ = 0;
   bool configured_ = false;
   std::vector<std::unique_ptr<core::FerexEngine>> banks_;
-  std::vector<std::size_t> bank_offsets_;  ///< global row of bank's row 0
   std::size_t total_rows_ = 0;
+  /// The global comparison stage's delay/energy model, and the noiseless
+  /// comparator each bank's k-NN decision runs through.
   circuit::LtaCircuit global_lta_;
 };
 

@@ -180,7 +180,7 @@ std::size_t FerexEngine::compact() {
   return freed;
 }
 
-EngineInsert FerexEngine::insert(std::span<const int> vector) {
+WriteReceipt FerexEngine::insert(std::span<const int> vector) {
   if (!encoding_) {
     throw std::logic_error("FerexEngine::insert: configure() first");
   }
@@ -207,7 +207,7 @@ EngineInsert FerexEngine::insert(std::span<const int> vector) {
   if (live_rows_ < database_.size()) {
     std::size_t slot = 0;
     while (live_[slot] != 0) ++slot;
-    return {slot, update(slot, vector)};
+    return {slot, 0, update(slot, vector)};
   }
   database_.emplace_back(vector.begin(), vector.end());
   live_.push_back(1);
@@ -232,7 +232,7 @@ EngineInsert FerexEngine::insert(std::span<const int> vector) {
     throw;
   }
   const std::size_t row = database_.size() - 1;
-  return {row, row_write_cost(row)};
+  return {row, 0, row_write_cost(row)};
 }
 
 circuit::WriteCost FerexEngine::remove(std::size_t row) {
@@ -322,7 +322,7 @@ void FerexEngine::check_query(std::span<const int> query) const {
   }
 }
 
-std::vector<SearchResult> FerexEngine::search_hits_at(
+std::vector<Hit> FerexEngine::search_hits_at(
     std::span<const int> query, std::size_t k, std::uint64_t ordinal,
     std::optional<bool> parallel_rows) const {
   if (!array_) {
@@ -359,16 +359,16 @@ std::vector<SearchResult> FerexEngine::search_hits_at(
   const auto decisions = lta_.decide_k_detailed(
       currents, circuit ? array_->unit_current_a() : 1.0, k,
       circuit ? &rng : nullptr, array_->live_mask());
-  std::vector<SearchResult> hits;
+  std::vector<Hit> hits;
   hits.reserve(decisions.size());
   for (const auto& decision : decisions) {
-    SearchResult hit;
-    hit.nearest = decision.winner;
-    hit.winner_current_a = decision.winner_current_a;
+    Hit hit;
+    hit.global_row = decision.winner;
+    hit.sensed_current_a = decision.winner_current_a;
     hit.margin_a = decision.margin_a;
-    hit.nominal_distance = circuit
-                               ? array_->nominal_distance(query, hit.nearest)
-                               : distances[hit.nearest];
+    hit.nominal_distance =
+        circuit ? array_->nominal_distance(query, decision.winner)
+                : distances[decision.winner];
     hits.push_back(hit);
   }
   return hits;

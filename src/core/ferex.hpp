@@ -34,6 +34,7 @@
 #include "circuit/energy_model.hpp"
 #include "circuit/lta.hpp"
 #include "circuit/write.hpp"
+#include "core/hit.hpp"
 #include "csp/distance_matrix.hpp"
 #include "encode/composite.hpp"
 #include "encode/encoder.hpp"
@@ -68,21 +69,6 @@ struct FerexOptions {
 /// below any hand-off, so it never fans. Scheduling only: results are
 /// bit-identical either way.
 inline constexpr std::size_t kIntraQueryMinDevices = 32768;
-
-/// Result of one nearest-neighbor query.
-struct SearchResult {
-  std::size_t nearest = 0;            ///< winning row index
-  double winner_current_a = 0.0;      ///< sensed current of the winner
-  double margin_a = 0.0;              ///< sensed gap to the runner-up
-  int nominal_distance = 0;           ///< encoding-level distance of winner
-};
-
-/// Receipt for one streaming insert: the physical slot the vector landed
-/// in and the write cost of programming it.
-struct EngineInsert {
-  std::size_t row = 0;
-  circuit::WriteCost cost{};
-};
 
 class FerexEngine {
  public:
@@ -126,8 +112,9 @@ class FerexEngine {
   /// its own device variation, so the result equals a fresh store() of
   /// the same physical layout. A later configure() re-encodes inserted
   /// rows like any stored row. Throws without mutating on a wrong-length
-  /// or out-of-alphabet vector.
-  EngineInsert insert(std::span<const int> vector);
+  /// or out-of-alphabet vector. The receipt names the slot (bank 0) and
+  /// its write cost.
+  WriteReceipt insert(std::span<const int> vector);
 
   /// Deletes one row: erases the slot (a single row-wide erase pulse,
   /// whose WriteCost is returned) and masks it in the post-decoder, so
@@ -144,8 +131,9 @@ class FerexEngine {
   /// and marks it live. Validates the vector before mutating.
   circuit::WriteCost update(std::size_t row, std::span<const int> vector);
 
-  /// The search core: the top-k rows nearest first, each with its sensed
-  /// current, margin to the best remaining row, and nominal distance.
+  /// The search core: the top-k rows nearest first (bank 0), each with
+  /// its sensed current, margin to the best remaining row, and nominal
+  /// distance.
   /// Requires configure() and store(), and 1 <= k <= live_count(). The
   /// ordinal selects the per-query comparator-noise stream, so results do
   /// not depend on the order or thread in which queries run. Const: the
@@ -154,7 +142,7 @@ class FerexEngine {
   /// at circuit fidelity; `parallel_rows` pins the schedule instead
   /// (tests and per-layer timing pass false for the serial row loop).
   /// The schedule never affects results.
-  std::vector<SearchResult> search_hits_at(
+  std::vector<Hit> search_hits_at(
       std::span<const int> query, std::size_t k, std::uint64_t ordinal,
       std::optional<bool> parallel_rows = std::nullopt) const;
 
@@ -172,7 +160,7 @@ class FerexEngine {
   int software_distance(std::span<const int> query, std::size_t row) const;
 
   /// Encoding-level distance between the query and a stored row — the
-  /// value SearchResult::nominal_distance reports for that row (codec
+  /// value Hit::nominal_distance reports for that row (codec
   /// expansion applied; equals software_distance for standard metrics).
   int nominal_distance(std::span<const int> query, std::size_t row) const;
 
@@ -208,8 +196,8 @@ class FerexEngine {
     return live_[row] != 0;
   }
 
-  /// Per-slot post-decoder mask (1 = live) — what multi-macro layers
-  /// concatenate for their global masked LTA stages.
+  /// Per-slot post-decoder mask (1 = live) — what a multi-macro layer
+  /// hands the masked LTA decision it runs over row_currents().
   std::span<const std::uint8_t> live_mask() const noexcept { return live_; }
 
   std::size_t dims() const noexcept {

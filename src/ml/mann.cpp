@@ -75,10 +75,10 @@ FewShotResult evaluate_few_shot(core::FerexEngine& engine,
       // Vote over the k = shots nearest supports (1-shot: the nearest).
       const auto neighbors =
           engine.search_hits_at(query, spec.shots, ordinal++);
-      int predicted = ep.support_y[neighbors.front().nearest];
+      int predicted = ep.support_y[neighbors.front().global_row];
       if (spec.shots > 1) {
         std::map<int, std::size_t> votes;
-        for (const auto& hit : neighbors) ++votes[ep.support_y[hit.nearest]];
+        for (const auto& hit : neighbors) ++votes[ep.support_y[hit.global_row]];
         std::size_t best = 0;
         for (const auto& [label, count] : votes) {
           if (count > best) {

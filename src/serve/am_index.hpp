@@ -2,9 +2,9 @@
 //
 // The paper's headline is a single engine serving many metrics and
 // workloads on the same hardware, but the lower layers expose two front
-// doors with different result types: core::FerexEngine (one macro,
-// SearchResult) and arch::BankedAm (multi-macro, BankedSearchResult).
-// AmIndex unifies them behind a request/response surface:
+// doors: core::FerexEngine (one macro) and arch::BankedAm (multi-macro).
+// Both report core::Hit and core::WriteReceipt, the types this layer
+// serves too. AmIndex unifies them behind a request/response surface:
 //
 //   serve::BankedIndex index(options);          // or EngineIndex
 //   index.configure(csp::DistanceMetric::kHamming, 2);
@@ -16,11 +16,12 @@
 //   index.insert(vec);                          // streaming write path
 //
 // Guarantees:
-//   * Hits are bit-identical to the backend's one search core at the
-//     request's ordinal: FerexEngine::search_hits_at for EngineIndex;
-//     BankedAm::search_at (k = 1) or search_k_hits (k > 1) for
-//     BankedIndex — at both fidelities, single-shot and batched. The
-//     backends keep no ordinal counter of their own.
+//   * Hits are the backend's one search core's own core::Hit values at
+//     the request's ordinal, passed through unconverted:
+//     FerexEngine::search_hits_at for EngineIndex; BankedAm::search_at
+//     (k = 1) or search_k_hits (k > 1) for BankedIndex — at both
+//     fidelities, single-shot and batched. The backends keep no ordinal
+//     counter of their own.
 //   * Every request consumes exactly one ordinal from the index's query
 //     serial — the per-query comparator-noise stream id — unless the
 //     request pins one explicitly or the const search_at entry point is
@@ -48,7 +49,7 @@
 #include <string>
 #include <vector>
 
-#include "circuit/write.hpp"
+#include "core/hit.hpp"
 #include "csp/distance_matrix.hpp"
 #include "serve/reject.hpp"
 #include "util/thread_annotations.hpp"
@@ -121,14 +122,9 @@ struct SearchRequest {
         submit(submit_in) {}
 };
 
-/// One scored row of a response.
-struct Hit {
-  std::size_t global_row = 0;     ///< row index across all banks
-  std::size_t bank = 0;           ///< bank holding the row (0 on a macro)
-  double sensed_current_a = 0.0;  ///< sensed current (distance domain)
-  double margin_a = 0.0;          ///< sensed gap to the best remaining row
-  int nominal_distance = 0;       ///< encoding-level distance to the query
-};
+/// One scored row of a response: `bank` is 0 on a single macro, the
+/// bank on a banked array and the shard on a fleet.
+using Hit = core::Hit;
 
 /// Hits nearest first; never empty (k >= 1 is validated up front).
 struct SearchResponse {
@@ -137,11 +133,7 @@ struct SearchResponse {
 };
 
 /// Receipt for one write-path operation (insert / remove / update).
-struct WriteReceipt {
-  std::size_t global_row = 0;  ///< the row written (or erased)
-  std::size_t bank = 0;        ///< bank holding it
-  circuit::WriteCost cost{};   ///< write cost of the operation
-};
+using WriteReceipt = core::WriteReceipt;
 
 /// Polymorphic serving interface over interchangeable FeReX backends.
 ///

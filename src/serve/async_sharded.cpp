@@ -3,6 +3,8 @@
 #include <exception>
 #include <stdexcept>
 
+#include "arch/merge_hits.hpp"
+
 namespace ferex::serve {
 
 AsyncShardedIndex::AsyncShardedIndex(ShardedIndex& sharded, AsyncOptions base,
@@ -159,13 +161,13 @@ std::uint64_t AsyncShardedIndex::query_serial() const {
 }
 
 SearchResponse AsyncShardedIndex::Ticket::get() {
-  std::vector<SearchResponse> parts(fleet_->shard_count());
+  std::vector<std::vector<Hit>> parts(fleet_->shard_count());
   std::exception_ptr first_error;
   // Settle every part before deciding: abandoning later futures on an
   // early throw would discard results the dispatchers still complete.
   for (auto& [shard, future] : parts_) {
     try {
-      parts[shard] = future.get();
+      parts[shard] = fleet_->from_shard(shard, future.get()).hits;
     } catch (...) {
       if (!first_error) first_error = std::current_exception();
     }
@@ -173,8 +175,8 @@ SearchResponse AsyncShardedIndex::Ticket::get() {
   if (first_error) std::rethrow_exception(first_error);
   // The exact merge the synchronous path runs — one implementation, so
   // sync and async gathers cannot drift. A submit_shard ticket holds one
-  // part, which the merge passes through remapped to fleet coordinates.
-  return fleet_->merge_shard_responses(parts, k_);
+  // part, which the merge passes through.
+  return {arch::merge_hits(parts, k_)};
 }
 
 }  // namespace ferex::serve

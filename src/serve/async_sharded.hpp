@@ -33,13 +33,12 @@
 // (Overloaded / ShutDown / validation) consume nothing.
 //
 // Completion handles: submit() returns a Ticket whose get() gathers the
-// per-shard futures on the calling thread and k-way merges them through
-// the exact same ShardedIndex merge core the synchronous path uses
-// (hits remapped to global rows, bank = shard, cross-shard margin
-// reconstruction). submit_shard() returns a single-shard Ticket — the
-// surface the write-interference bench drives. Write submissions return
-// a PendingWrite whose receipt carries the global row and shard decided
-// at submission time.
+// per-shard futures on the calling thread, remaps them to global rows
+// (bank = shard) and merges them through arch::merge_hits, exactly as
+// the synchronous path does. submit_shard() returns a single-shard
+// Ticket — the surface the write-interference bench drives. Write
+// submissions return a PendingWrite whose receipt carries the global row
+// and shard decided at submission time.
 //
 // Durability: pass one Wal per shard (DurableShardedIndex::shard_wal)
 // and each shard session journals its sub-ops — in shard-local

@@ -2,13 +2,16 @@
 //
 // The scale-out deployment: rows partition across bank_rows-sized macros,
 // one search fires every bank, streaming inserts grow fresh banks on
-// demand. Hit semantics follow the hardware:
-//   * k = 1 runs the two-stage path (per-bank LTA + global comparator);
-//     the hit's margin is the sensed gap between the two best bank
-//     winners — exactly BankedAm::search_at at the request's ordinal;
-//   * k > 1 runs the post-decoder masking path over the concatenated row
-//     currents (deterministic: no per-bank LTA decisions, so no
-//     comparator-noise draws) — exactly BankedAm::search_k_hits.
+// demand. Hit semantics follow the hardware, and both paths combine the
+// banks through arch::merge_hits, the fleet's head merge:
+//   * k = 1 runs each live bank's LTA at the request's ordinal, then
+//     merges the bank winners; the hit's margin is the sensed gap to the
+//     best other bank winner (a sole live bank's own margin) — exactly
+//     BankedAm::search_at;
+//   * k > 1 masks each live bank's row currents through a noiseless LTA
+//     (no comparator-noise draws), overfetching one row per bank so the
+//     merged margins are the gaps to the best remaining row — exactly
+//     BankedAm::search_k_hits.
 #pragma once
 
 #include "arch/banked_am.hpp"

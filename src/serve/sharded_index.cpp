@@ -1,10 +1,10 @@
 #include "serve/sharded_index.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
+#include "arch/merge_hits.hpp"
 #include "serve/banked_index.hpp"
 #include "serve/engine_index.hpp"
 #include "util/parallel.hpp"
@@ -281,87 +281,21 @@ SearchResponse ShardedIndex::from_shard(std::size_t shard,
   return response;
 }
 
-SearchResponse ShardedIndex::merge_shard_responses(
-    std::span<const SearchResponse> parts, std::size_t k) const {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  // A sole live shard (a 1-shard fleet, or every other shard fully
-  // deleted) passes through wholesale: its hit sequence and margins ARE
-  // the fleet's, so the fleet is bit-identical to that shard served
-  // alone at every k and both fidelities.
-  std::size_t live_parts = 0;
-  std::size_t sole = 0;
-  for (std::size_t s = 0; s < parts.size(); ++s) {
-    if (parts[s].hits.empty()) continue;
-    ++live_parts;
-    sole = s;
-  }
-  if (live_parts == 1) return from_shard(sole, parts[sole]);
-  // k-way head merge over the per-shard rank orders: take the smallest
-  // head (ties to the lowest global row, matching the deterministic
-  // LTA sweep's lowest-index rule through the monotone local->global
-  // map), then report its margin as the gap to the best remaining head.
-  std::vector<std::size_t> heads(parts.size(), 0);
-  SearchResponse out;
-  out.hits.reserve(k);
-  for (std::size_t taken = 0; taken < k; ++taken) {
-    std::size_t best_shard = parts.size();
-    std::size_t best_row = 0;
-    double best_key = kInf;
-    for (std::size_t s = 0; s < parts.size(); ++s) {
-      if (heads[s] >= parts[s].hits.size()) continue;
-      const Hit& head = parts[s].hits[heads[s]];
-      const double key = head.sensed_current_a;
-      const std::size_t row = to_global(s, head.global_row);
-      if (best_shard == parts.size() || key < best_key ||
-          (key == best_key && row < best_row)) {
-        best_shard = s;
-        best_key = key;
-        best_row = row;
-      }
-    }
-    if (best_shard == parts.size()) {
-      // Unreachable: validate_request bounds k by the fleet's live
-      // count and every live shard overfetched.
-      throw std::logic_error("ShardedIndex: merge ran out of candidates");
-    }
-    Hit hit = parts[best_shard].hits[heads[best_shard]];
-    ++heads[best_shard];
-    hit.global_row = best_row;
-    hit.bank = best_shard;
-    double next_key = kInf;
-    for (std::size_t s = 0; s < parts.size(); ++s) {
-      if (heads[s] >= parts[s].hits.size()) continue;
-      next_key = std::min(next_key, parts[s].hits[heads[s]].sensed_current_a);
-    }
-    // Exhausted fleet (k == total live): no head is left and the margin
-    // is +inf, exactly the flat comparator's final round (decide_k_detailed
-    // masks each round winner to +inf current but keeps it live and
-    // competing, so its `second` is +inf — and so is a sole live shard's
-    // own final-round margin, which the passthrough inherits). The heads
-    // always cover the true global runner-up otherwise (every shard
-    // overfetched one), so these gaps equal the flat index's round
-    // margins bit for bit at nominal fidelity.
-    hit.margin_a = next_key - best_key;
-    out.hits.push_back(hit);
-  }
-  return out;
-}
-
 SearchResponse ShardedIndex::search_core(std::span<const int> query,
                                          std::size_t k,
                                          std::uint64_t ordinal) const {
-  // The scatter half: one sub-response per shard (dead shards left
-  // empty), each fetched at `ordinal` with the shard's own k.
-  std::vector<SearchResponse> parts(shards_.size());
+  // The scatter half: one hit list per shard in fleet coordinates (dead
+  // shards left empty), each fetched at `ordinal` with the shard's own k.
+  std::vector<std::vector<Hit>> parts(shards_.size());
   const auto run_shard = [&](std::size_t s) {
     // A fully deleted shard stops firing: no search, no noise draws —
     // its comparator streams are exactly those of a fleet that never
     // included it.
     const std::size_t sub_k = shard_k(s, k);
     if (sub_k == 0) return;
-    parts[s] = shards_[s]->search_at(
-        SearchRequest(std::vector<int>(query.begin(), query.end()), sub_k),
-        ordinal);
+    const SearchRequest sub(std::vector<int>(query.begin(), query.end()),
+                            sub_k);
+    parts[s] = from_shard(s, shards_[s]->search_at(sub, ordinal)).hits;
   };
   if (live_shard_count() > 1) {
     // Shards fire at once; each shard's own row or bank loop then runs
@@ -370,7 +304,7 @@ SearchResponse ShardedIndex::search_core(std::span<const int> query,
   } else {
     for (std::size_t s = 0; s < shards_.size(); ++s) run_shard(s);
   }
-  return merge_shard_responses(parts, k);
+  return {arch::merge_hits(parts, k)};
 }
 
 SearchResponse ShardedIndex::search_shard(std::size_t shard,

@@ -40,25 +40,17 @@
 // serves at the fleet's ordinal against its own comparator-noise
 // stream (shard seeds are salted per shard; shard 0 keeps the base
 // seed, so a 1-shard fleet is bit-identical to the unsharded index),
-// and the per-shard top-k responses k-way merge on sensed current (at
-// nominal fidelity the sensed current is the distance). One head merge
-// serves every k — the separate k == 1 two-best merge, util::merge_topk,
-// is gone with its lowest-shard tie rule. The merge takes the smallest
-// head, ties to the lowest global row as in the flat index, and reports
-// each merged hit's `margin_a` as the gap to the best remaining head. Each
-// shard fetches its winner alone at k == 1, so that margin is the gap
-// to the best other shard winner; for k > 1 each shard overfetches one,
-// so the best remaining head is the true global runner-up and at
-// nominal fidelity these gaps equal the flat index's round margins bit
-// for bit. The margin is +inf when the whole fleet is exhausted (the
-// flat comparator masks round winners to +inf current but keeps them
-// competing, so its own final round reports +inf too). When exactly one
-// shard is live — a 1-shard fleet, or every other shard fully deleted —
-// its response passes through wholesale (rows remapped, margins
-// untouched), so the fleet is bit-identical to that shard served alone
-// at every k and both fidelities. Dead shards are skipped entirely (no
-// search, no noise draws); EmptyIndex fires only when every shard is
-// empty.
+// and the per-shard responses, remapped to global rows, combine through
+// arch::merge_hits — the head merge BankedAm runs over its banks (see
+// there for the tie rule, the margins and the sole-part passthrough).
+// Each shard fetches its winner alone at k == 1, so that margin is the
+// gap to the best other shard winner (a flat array would also sense the
+// winner's in-shard runner-up); for k > 1 each shard overfetches one,
+// so at nominal fidelity the margins equal the flat index's round
+// margins bit for bit. A sole live shard passes through, so the fleet
+// is then bit-identical to that shard served alone at every k and both
+// fidelities. Dead shards are skipped entirely (no search, no noise
+// draws); EmptyIndex fires only when every shard is empty.
 #pragma once
 
 #include <cstddef>
@@ -193,7 +185,7 @@ class ShardedIndex final : public AmIndex {
  private:
   /// AsyncShardedIndex claims the fleet (so direct sync use throws
   /// MutationWhileServed) and drives the routing state, validation and
-  /// merge below instead of keeping copies, so async and sync serving
+  /// gather below instead of keeping copies, so async and sync serving
   /// make each of these decisions in one place.
   friend class AsyncShardedIndex;
 
@@ -226,12 +218,8 @@ class ShardedIndex final : public AmIndex {
   /// fleet is exhausted.
   std::size_t shard_k(std::size_t shard, std::size_t k) const noexcept;
 
-  /// The gather half, shared verbatim by the sync path and the async
-  /// ticket: k-way merge of per-shard responses (dead shards empty) with
-  /// global rows, bank = shard, and cross-shard margins.
-  SearchResponse merge_shard_responses(
-      std::span<const SearchResponse> parts, std::size_t k) const;
-  /// One shard's response in fleet coordinates (global rows, bank = shard).
+  /// One shard's response in fleet coordinates (global rows, bank = shard):
+  /// what the sync path and the async ticket hand arch::merge_hits.
   SearchResponse from_shard(std::size_t shard, SearchResponse response) const;
 
   ShardedOptions options_;

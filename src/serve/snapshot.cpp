@@ -116,11 +116,12 @@ std::vector<std::uint8_t> encode_snapshot(const AmIndex& index,
     payload.u64(wal_watermark);
     payload.u64(index.query_serial());
     const arch::BankedAm::BankedState state = banked.snapshot_state();
-    payload.u64(banked.options().bank_rows);
+    const std::size_t bank_rows = banked.options().bank_rows;
+    payload.u64(bank_rows);
     payload.u64(0);  // reserved (was the banked query serial)
     payload.u64(state.banks.size());
     for (std::size_t b = 0; b < state.banks.size(); ++b) {
-      payload.u64(state.bank_offsets[b]);
+      payload.u64(b * bank_rows);  // the bank's first global row
       put_engine_state(payload, state.banks[b]);
     }
   } else {
@@ -212,10 +213,22 @@ std::uint64_t install_snapshot(AmIndex& index,
     if (bank_count > payload.remaining()) {
       throw encode::CorruptSnapshot(payload.offset(), "bank count too large");
     }
+    // Banked routing is arithmetic (bank = row / bank_rows): each offset
+    // must be its bank's first row, and each bank must hold what store()
+    // and insert() build — bank_rows rows, the last bank 1..bank_rows.
     for (std::uint64_t b = 0; b < bank_count; ++b) {
-      state.bank_offsets.push_back(
-          static_cast<std::size_t>(payload.u64()));
+      if (payload.u64() != b * bank_rows) {
+        throw SnapshotMismatch("bank " + std::to_string(b) +
+                               " offset is not bank * bank_rows");
+      }
       state.banks.push_back(get_engine_state(payload));
+      const std::size_t rows = state.banks.back().database.size();
+      if (b + 1 == bank_count ? (rows == 0 || rows > bank_rows)
+                              : rows != bank_rows) {
+        throw SnapshotMismatch("bank " + std::to_string(b) + " holds " +
+                               std::to_string(rows) + " rows at bank_rows " +
+                               std::to_string(bank_rows));
+      }
     }
     payload.expect_end();
     banked.restore_state(std::move(state));

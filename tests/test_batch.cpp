@@ -322,9 +322,9 @@ TEST(NestedFanOutT, BankedIndexAboveTheGateIsScheduleInvariant) {
     const auto serial = banked.search_k_hits(request.query, request.k, false);
     ASSERT_EQ(serial.size(), response.hits.size());
     for (std::size_t j = 0; j < serial.size(); ++j) {
-      EXPECT_EQ(response.hits[j].global_row, serial[j].nearest);
+      EXPECT_EQ(response.hits[j].global_row, serial[j].global_row);
       EXPECT_EQ(response.hits[j].bank, serial[j].bank);
-      EXPECT_EQ(response.hits[j].sensed_current_a, serial[j].winner_current_a);
+      EXPECT_EQ(response.hits[j].sensed_current_a, serial[j].sensed_current_a);
       EXPECT_EQ(response.hits[j].margin_a, serial[j].margin_a);
       EXPECT_EQ(response.hits[j].nominal_distance, serial[j].nominal_distance);
     }
@@ -350,7 +350,7 @@ TEST(NestedFanOutT, ShardedFleetAboveTheGateIsScheduleInvariant) {
     // loop pinned serial, in order, at the fleet's ordinal (each shard
     // overfetches one at k > 1; the merge sets the margins).
     const std::size_t sub_k = request.k == 1 ? 1 : request.k + 1;
-    std::vector<std::vector<core::SearchResult>> serial;
+    std::vector<std::vector<core::Hit>> serial;
     for (std::size_t s = 0; s < fleet.shard_count(); ++s) {
       serial.push_back(engine(s).search_hits_at(request.query, sub_k,
                                                 *request.ordinal, false));
@@ -360,8 +360,8 @@ TEST(NestedFanOutT, ShardedFleetAboveTheGateIsScheduleInvariant) {
       ASSERT_LT(hit.bank, serial.size());
       ASSERT_LT(taken[hit.bank], serial[hit.bank].size());
       const auto& r = serial[hit.bank][taken[hit.bank]++];
-      EXPECT_EQ(hit.global_row, fleet.to_global(hit.bank, r.nearest));
-      EXPECT_EQ(hit.sensed_current_a, r.winner_current_a);
+      EXPECT_EQ(hit.global_row, fleet.to_global(hit.bank, r.global_row));
+      EXPECT_EQ(hit.sensed_current_a, r.sensed_current_a);
       EXPECT_EQ(hit.nominal_distance, r.nominal_distance);
     }
   });

@@ -158,7 +158,7 @@ TEST(CompositeEngine, ThreeBitHammingSearchMatchesSoftware) {
                       ml::vector_distance(DistanceMetric::kHamming, query, row));
     }
     EXPECT_EQ(ml::vector_distance(DistanceMetric::kHamming, query,
-                                  db[result.nearest]),
+                                  db[result.global_row]),
               best);
     EXPECT_EQ(result.nominal_distance, best);
   }

@@ -16,7 +16,7 @@ std::vector<std::vector<int>> toy_database() {
 }
 
 /// The single-NN winner at `ordinal` (the search core at k = 1).
-SearchResult nearest(const FerexEngine& engine, std::span<const int> query,
+Hit nearest(const FerexEngine& engine, std::span<const int> query,
                      std::uint64_t ordinal = 0) {
   return engine.search_hits_at(query, 1, ordinal).front();
 }
@@ -49,7 +49,7 @@ TEST(FerexEngine, ConfigureThenStoreThenSearch) {
 
   const std::vector<int> query{1, 1, 1, 1};
   const auto result = nearest(engine, query);
-  EXPECT_EQ(result.nearest, 1u);  // exact match stored at row 1
+  EXPECT_EQ(result.global_row, 1u);  // exact match stored at row 1
   EXPECT_EQ(result.nominal_distance, 0);
 }
 
@@ -72,7 +72,7 @@ TEST(FerexEngine, SearchMatchesSoftwareArgminAcrossMetrics) {
       for (std::size_t r = 0; r < engine.stored_count(); ++r) {
         min_dist = std::min(min_dist, engine.software_distance(query, r));
       }
-      EXPECT_EQ(engine.software_distance(query, result.nearest), min_dist)
+      EXPECT_EQ(engine.software_distance(query, result.global_row), min_dist)
           << csp::to_string(metric);
     }
   }
@@ -95,8 +95,8 @@ TEST(FerexEngine, NominalFidelityAgreesWithCircuitWhenNoiseless) {
     // leak perturbs tie-breaking); the winning *distance* must agree.
     const auto c = nearest(circuit_engine, query, trial);
     const auto n = nearest(nominal_engine, query, trial);
-    EXPECT_EQ(circuit_engine.software_distance(query, c.nearest),
-              nominal_engine.software_distance(query, n.nearest));
+    EXPECT_EQ(circuit_engine.software_distance(query, c.global_row),
+              nominal_engine.software_distance(query, n.global_row));
   }
 }
 
@@ -113,13 +113,13 @@ TEST(FerexEngine, ReconfigurationChangesWinner) {
   engine.configure(DistanceMetric::kManhattan, 2);
   engine.store({{2, 2, 2, 2}, {3, 3, 3, 3}});
   const std::vector<int> query{1, 1, 1, 1};
-  EXPECT_EQ(nearest(engine, query, 0).nearest, 0u);
+  EXPECT_EQ(nearest(engine, query, 0).global_row, 0u);
 
   engine.configure(DistanceMetric::kHamming, 2);  // same data, re-encoded
-  EXPECT_EQ(nearest(engine, query, 1).nearest, 1u);
+  EXPECT_EQ(nearest(engine, query, 1).global_row, 1u);
 
   engine.configure(DistanceMetric::kManhattan, 2);  // and back
-  EXPECT_EQ(nearest(engine, query, 2).nearest, 0u);
+  EXPECT_EQ(nearest(engine, query, 2).global_row, 0u);
 }
 
 TEST(FerexEngine, SearchKReturnsSortedNeighbors) {
@@ -130,9 +130,9 @@ TEST(FerexEngine, SearchKReturnsSortedNeighbors) {
   const auto top3 = engine.search_hits_at(query, 3, 0);
   ASSERT_EQ(top3.size(), 3u);
   // Distances: row0=1, row1=1, row2=3, row3=5.
-  EXPECT_TRUE((top3[0].nearest == 0 && top3[1].nearest == 1) ||
-              (top3[0].nearest == 1 && top3[1].nearest == 0));
-  EXPECT_EQ(top3[2].nearest, 2u);
+  EXPECT_TRUE((top3[0].global_row == 0 && top3[1].global_row == 1) ||
+              (top3[0].global_row == 1 && top3[1].global_row == 0));
+  EXPECT_EQ(top3[2].global_row, 2u);
 }
 
 TEST(FerexEngine, CustomDistanceMatrixEndToEnd) {
@@ -150,7 +150,7 @@ TEST(FerexEngine, CustomDistanceMatrixEndToEnd) {
   engine.store({{0, 0}, {3, 3}});
   const std::vector<int> query{2, 2};
   // Stored row 1 is all wildcards: distance 0 < |2-0|*2.
-  EXPECT_EQ(nearest(engine, query).nearest, 1u);
+  EXPECT_EQ(nearest(engine, query).global_row, 1u);
 }
 
 TEST(FerexEngine, InfeasibleConfigurationThrows) {
@@ -226,7 +226,7 @@ TEST(FerexEngine, StoreBeforeConfigureThenConfigureProgramsArray) {
   engine.configure(DistanceMetric::kHamming, 2);
   ASSERT_NE(engine.array(), nullptr);
   const std::vector<int> query{3, 3, 3, 3};
-  EXPECT_EQ(nearest(engine, query).nearest, 3u);
+  EXPECT_EQ(nearest(engine, query).global_row, 3u);
 }
 
 }  // namespace

@@ -328,19 +328,40 @@ void put_le(std::vector<std::uint8_t>& bytes, std::size_t at, int width,
   }
 }
 
-/// Writes `value` into the reserved u64 of the engine state starting at
-/// `at` (rows, dims, database, live mask, reserved, rng lanes, cached
-/// gaussian, its flag, device count, Vth offsets, resistances) and
-/// returns the offset just past the state.
-std::size_t poke_engine_reserved(std::vector<std::uint8_t>& bytes,
-                                 std::size_t at, std::uint64_t value) {
+/// Offset of the reserved u64 in the engine state starting at `at`
+/// (rows, dims, database, live mask, reserved, rng lanes, cached
+/// gaussian, its flag, device count, Vth offsets, resistances).
+std::size_t engine_reserved_at(const std::vector<std::uint8_t>& bytes,
+                               std::size_t at) {
   const std::uint64_t rows = get_le(bytes, at, 8);
   const std::uint64_t dims = get_le(bytes, at + 8, 8);
-  std::size_t cursor = at + 16 + rows * dims * 4 + rows;
-  EXPECT_EQ(get_le(bytes, cursor, 8), 0u);  // written as 0
-  put_le(bytes, cursor, 8, value);
-  cursor += 8 + 4 * 8 + 8 + 1;
-  return cursor + 8 + get_le(bytes, cursor, 8) * 16;
+  return at + 16 + rows * dims * 4 + rows;
+}
+
+/// Offset just past the engine state starting at `at`.
+std::size_t engine_state_end(const std::vector<std::uint8_t>& bytes,
+                             std::size_t at) {
+  const std::size_t devices_at = engine_reserved_at(bytes, at) + 8 + 4 * 8 +
+                                 8 + 1;
+  return devices_at + 8 + get_le(bytes, devices_at, 8) * 16;
+}
+
+/// Writes `value` into the reserved u64 of the engine state starting at
+/// `at` and returns the offset just past the state.
+std::size_t poke_engine_reserved(std::vector<std::uint8_t>& bytes,
+                                 std::size_t at, std::uint64_t value) {
+  const std::size_t reserved = engine_reserved_at(bytes, at);
+  EXPECT_EQ(get_le(bytes, reserved, 8), 0u);  // written as 0
+  put_le(bytes, reserved, 8, value);
+  return engine_state_end(bytes, at);
+}
+
+/// Rewrites the envelope's payload size and CRC after an edit.
+void reseal(std::vector<std::uint8_t>& bytes) {
+  put_le(bytes, kSnapshotCrcAt + 4, 8, bytes.size() - kSnapshotEnvelope);
+  put_le(bytes, kSnapshotCrcAt, 4,
+         encode::crc32(bytes.data() + kSnapshotEnvelope,
+                       bytes.size() - kSnapshotEnvelope));
 }
 
 TEST_P(DurableParityT, RetiredSerialFieldsAreIgnoredOnRead) {
@@ -373,9 +394,7 @@ TEST_P(DurableParityT, RetiredSerialFieldsAreIgnoredOnRead) {
     }
     EXPECT_EQ(cursor, with_serials.size());
   }
-  put_le(with_serials, kSnapshotCrcAt, 4,
-         encode::crc32(with_serials.data() + kSnapshotEnvelope,
-                       with_serials.size() - kSnapshotEnvelope));
+  reseal(with_serials);
   ASSERT_NE(with_serials, canonical);
 
   auto restored = make_empty(backend, fidelity);
@@ -418,6 +437,54 @@ TEST(SnapshotMismatchT, WrongBackendFidelityOrGeometryIsTyped) {
     FAIL() << "bank_rows mismatch must throw";
   } catch (const serve::SnapshotMismatch& error) {
     EXPECT_NE(std::string(error.what()).find("bank_rows"), std::string::npos);
+  }
+}
+
+TEST(SnapshotMismatchT, BankOffsetsAndShapesMustMatchArithmeticRouting) {
+  // Banked routing is arithmetic (bank = row / bank_rows): a checksummed
+  // snapshot whose bank offsets or bank sizes no store()/insert() could
+  // produce is a typed SnapshotMismatch, never an installed index that
+  // reads out of bounds on its next search.
+  const auto db = data::random_int_vectors(8, 4, 4, 1011);  // 3 + 3 + 2
+  const auto canonical = serve::encode_snapshot(
+      *make_index(Backend::kBanked, SearchFidelity::kCircuit, db), 1);
+  auto resealed = canonical;
+  reseal(resealed);
+  ASSERT_EQ(resealed, canonical);
+  // bank_rows, reserved, bank count, then (offset, engine state) each.
+  ASSERT_EQ(get_le(canonical, kSnapshotStateAt + 16, 8), 3u);
+  const std::size_t bank0 = kSnapshotStateAt + 24;
+  const std::size_t bank1 = engine_state_end(canonical, bank0 + 8);
+  const std::size_t bank2 = engine_state_end(canonical, bank1 + 8);
+  ASSERT_EQ(get_le(canonical, bank1, 8), 3u);
+
+  auto bad_offset = canonical;
+  put_le(bad_offset, bank0, 8, 5);
+  reseal(bad_offset);
+
+  // The middle bank swapped for the one bank of a 2-row snapshot.
+  const auto two_rows = serve::encode_snapshot(
+      *make_index(Backend::kBanked, SearchFidelity::kCircuit,
+                  {db[0], db[1]}),
+      1);
+  std::vector<std::uint8_t> short_middle(canonical.begin(),
+                                         canonical.begin() + bank1 + 8);
+  short_middle.insert(short_middle.end(),
+                      two_rows.begin() + kSnapshotStateAt + 32,
+                      two_rows.end());
+  short_middle.insert(short_middle.end(), canonical.begin() + bank2,
+                      canonical.end());
+  reseal(short_middle);
+
+  for (const auto* bytes : {&bad_offset, &short_middle}) {
+    auto index = make_empty(Backend::kBanked, SearchFidelity::kCircuit);
+    EXPECT_THROW(serve::install_snapshot(*index, *bytes),
+                 serve::SnapshotMismatch);
+    ScopedDir dir;
+    util::atomic_write_file(dir.path() + "/snapshot.ferex", *bytes);
+    auto recovered = make_empty(Backend::kBanked, SearchFidelity::kCircuit);
+    EXPECT_THROW(serve::recover_index(*recovered, dir.path()),
+                 serve::SnapshotMismatch);
   }
 }
 

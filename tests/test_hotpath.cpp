@@ -265,11 +265,11 @@ TEST(HotPathEngine, IntraQueryParallelSearchIsDeterministic) {
       const auto& query = requests[i].query;
       const auto serial = engine.search_hits_at(query, 1, i, false).front();
       const auto fanned = engine.search_hits_at(query, 1, i, true).front();
-      EXPECT_EQ(serial.nearest, fanned.nearest);
-      EXPECT_EQ(serial.winner_current_a, fanned.winner_current_a);
+      EXPECT_EQ(serial.global_row, fanned.global_row);
+      EXPECT_EQ(serial.sensed_current_a, fanned.sensed_current_a);
       EXPECT_EQ(serial.margin_a, fanned.margin_a);
-      EXPECT_EQ(batch[i].best().global_row, serial.nearest);
-      EXPECT_EQ(batch[i].best().sensed_current_a, serial.winner_current_a);
+      EXPECT_EQ(batch[i].best().global_row, serial.global_row);
+      EXPECT_EQ(batch[i].best().sensed_current_a, serial.sensed_current_a);
       EXPECT_EQ(batch[i].best().margin_a, serial.margin_a);
       expect_same_best(batch[i], index.search_at(requests[i], i));
     }

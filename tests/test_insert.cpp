@@ -12,17 +12,24 @@
 #include "core/ferex.hpp"
 #include "data/datasets.hpp"
 
+namespace ferex {
+namespace {
+
+void expect_identical(const core::Hit& a, const core::Hit& b) {
+  EXPECT_EQ(a.global_row, b.global_row);
+  EXPECT_EQ(a.bank, b.bank);
+  EXPECT_EQ(a.sensed_current_a, b.sensed_current_a);  // bit-exact
+  EXPECT_EQ(a.margin_a, b.margin_a);
+  EXPECT_EQ(a.nominal_distance, b.nominal_distance);
+}
+
+}  // namespace
+}  // namespace ferex
+
 namespace ferex::core {
 namespace {
 
 using csp::DistanceMetric;
-
-void expect_identical(const SearchResult& a, const SearchResult& b) {
-  EXPECT_EQ(a.nearest, b.nearest);
-  EXPECT_EQ(a.winner_current_a, b.winner_current_a);  // bit-exact
-  EXPECT_EQ(a.margin_a, b.margin_a);
-  EXPECT_EQ(a.nominal_distance, b.nominal_distance);
-}
 
 /// Both engines' single-NN winners for each query, query i at ordinal i.
 void expect_identical_searches(const FerexEngine& a, const FerexEngine& b,
@@ -123,7 +130,7 @@ TEST(InsertT, InsertThenReconfigureReencodesInsertedRows) {
     // The winner's reported distance is the Manhattan distance — the
     // inserted rows were re-encoded under the new metric.
     EXPECT_EQ(result.nominal_distance,
-              engine.software_distance(q, result.nearest));
+              engine.software_distance(q, result.global_row));
   }
 }
 
@@ -192,15 +199,6 @@ namespace {
 
 using csp::DistanceMetric;
 using core::SearchFidelity;
-
-void expect_identical(const BankedSearchResult& a,
-                      const BankedSearchResult& b) {
-  EXPECT_EQ(a.nearest, b.nearest);
-  EXPECT_EQ(a.bank, b.bank);
-  EXPECT_EQ(a.winner_current_a, b.winner_current_a);
-  EXPECT_EQ(a.margin_a, b.margin_a);
-  EXPECT_EQ(a.nominal_distance, b.nominal_distance);
-}
 
 class BankedInsertT : public ::testing::TestWithParam<SearchFidelity> {};
 

@@ -99,7 +99,7 @@ TEST(Integration, KnnThroughFerexMatchesSoftwareKnn) {
     // Distances must agree rank-for-rank (indices may differ on ties).
     for (std::size_t i = 0; i < 5; ++i) {
       EXPECT_EQ(ml::vector_distance(DistanceMetric::kManhattan, query,
-                                    db[hw[i].nearest]),
+                                    db[hw[i].global_row]),
                 ml::vector_distance(DistanceMetric::kManhattan, query,
                                     db[sw[i]]));
     }
@@ -138,7 +138,7 @@ TEST(Integration, HdcInferenceThroughArrayMatchesSoftware) {
   std::size_t agreements = 0;
   for (std::size_t s = 0; s < ds.test_x.rows(); ++s) {
     const auto query = model.encode_query(ds.test_x.row(s));
-    const auto hw_class = engine.search_hits_at(query, 1, s).front().nearest;
+    const auto hw_class = engine.search_hits_at(query, 1, s).front().global_row;
     const int sw_class = model.predict(DistanceMetric::kHamming,
                                        ds.test_x.row(s));
     if (static_cast<int>(hw_class) == sw_class) ++agreements;
@@ -184,7 +184,7 @@ TEST(Integration, VariationDegradesButDoesNotDestroyAccuracy) {
     db.push_back(perturb(2, trial_rng));  // nearest
     for (int d = 0; d < 7; ++d) db.push_back(perturb(5, trial_rng));
     engine.store(db);
-    if (engine.search_hits_at(base, 1, 0).front().nearest == 0) ++correct;
+    if (engine.search_hits_at(base, 1, 0).front().global_row == 0) ++correct;
   }
   EXPECT_GT(static_cast<double>(correct) / trials, 0.85);
 }

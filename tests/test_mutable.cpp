@@ -39,16 +39,15 @@
 namespace ferex {
 namespace {
 
-using core::EngineInsert;
 using core::FerexEngine;
 using core::FerexOptions;
 using core::SearchFidelity;
-using core::SearchResult;
 using csp::DistanceMetric;
 
-void expect_identical(const SearchResult& a, const SearchResult& b) {
-  EXPECT_EQ(a.nearest, b.nearest);
-  EXPECT_EQ(a.winner_current_a, b.winner_current_a);  // bit-exact
+void expect_identical(const core::Hit& a, const core::Hit& b) {
+  EXPECT_EQ(a.global_row, b.global_row);
+  EXPECT_EQ(a.bank, b.bank);
+  EXPECT_EQ(a.sensed_current_a, b.sensed_current_a);  // bit-exact
   EXPECT_EQ(a.margin_a, b.margin_a);
   EXPECT_EQ(a.nominal_distance, b.nominal_distance);
 }
@@ -166,18 +165,18 @@ TEST(EngineMutT, RemoveExcludesRowAndBoundsK) {
   // Deleting the current winner must dethrone it.
   const auto q = data::random_int_vectors(1, 5, 4, 906).front();
   const auto before = engine.search_hits_at(q, 1, 0).front();
-  engine.remove(before.nearest);
+  engine.remove(before.global_row);
   EXPECT_EQ(engine.live_count(), 5u);
   EXPECT_EQ(engine.stored_count(), 6u);
   const auto after = engine.search_hits_at(q, 1, 0).front();
-  EXPECT_NE(after.nearest, before.nearest);
+  EXPECT_NE(after.global_row, before.global_row);
 
   // k == live_count covers exactly the live rows; one more throws.
   const auto hits = engine.search_hits_at(q, 5, 0);
   std::vector<bool> seen(db.size(), false);
   for (const auto& hit : hits) {
-    EXPECT_NE(hit.nearest, before.nearest);
-    seen[hit.nearest] = true;
+    EXPECT_NE(hit.global_row, before.global_row);
+    seen[hit.global_row] = true;
   }
   EXPECT_EQ(std::count(seen.begin(), seen.end(), true), 5);
   EXPECT_THROW(engine.search_hits_at(q, 6, 0), std::invalid_argument);
@@ -192,14 +191,14 @@ TEST(EngineMutT, InsertReusesLowestFreedSlot) {
   engine.remove(1);
 
   const std::vector<int> x(4, 2);
-  const EngineInsert first = engine.insert(x);
-  EXPECT_EQ(first.row, 1u);
-  const EngineInsert second = engine.insert(x);
-  EXPECT_EQ(second.row, 3u);
+  const core::WriteReceipt first = engine.insert(x);
+  EXPECT_EQ(first.global_row, 1u);
+  const core::WriteReceipt second = engine.insert(x);
+  EXPECT_EQ(second.global_row, 3u);
   EXPECT_EQ(engine.stored_count(), 5u);  // no growth while slots free
   EXPECT_EQ(engine.live_count(), 5u);
-  const EngineInsert third = engine.insert(x);
-  EXPECT_EQ(third.row, 5u);  // exhausted free slots: append
+  const core::WriteReceipt third = engine.insert(x);
+  EXPECT_EQ(third.global_row, 5u);  // exhausted free slots: append
   EXPECT_EQ(engine.stored_count(), 6u);
 }
 
@@ -242,9 +241,9 @@ TEST_P(EngineInterleaveT, InterleaveMatchesFreshStoreOfSurvivingLayout) {
   mutated.store(db);
   mutated.remove(1);
   mutated.remove(4);
-  EXPECT_EQ(mutated.insert(extra[0]).row, 1u);   // reuse slot 1
+  EXPECT_EQ(mutated.insert(extra[0]).global_row, 1u);   // reuse slot 1
   mutated.update(3, extra[1]);                   // overwrite in place
-  EXPECT_EQ(mutated.insert(extra[2]).row, 4u);   // reuse slot 4
+  EXPECT_EQ(mutated.insert(extra[2]).global_row, 4u);   // reuse slot 4
   EXPECT_EQ(mutated.live_count(), 6u);
 
   // The surviving database in its physical layout, stored fresh with
@@ -314,8 +313,8 @@ TEST(EngineMutT, ResidualMaskMatchesFreshStoreOfSurvivorsOnly) {
     const auto b = survivors.search_hits_at(q, 3, ordinal);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].nearest, mapping[b[i].nearest]);
-      EXPECT_EQ(a[i].winner_current_a, b[i].winner_current_a);
+      EXPECT_EQ(a[i].global_row, mapping[b[i].global_row]);
+      EXPECT_EQ(a[i].sensed_current_a, b[i].sensed_current_a);
       EXPECT_EQ(a[i].margin_a, b[i].margin_a);
       EXPECT_EQ(a[i].nominal_distance, b[i].nominal_distance);
     }
@@ -337,7 +336,7 @@ TEST(EngineMutT, ConfigureAfterRemovePreservesMask) {
   EXPECT_EQ(engine.live_count(), 4u);
   const auto q = data::random_int_vectors(1, 4, 4, 916).front();
   for (const auto& hit : engine.search_hits_at(q, 4, 0)) {
-    EXPECT_NE(hit.nearest, 2u);
+    EXPECT_NE(hit.global_row, 2u);
   }
 }
 
@@ -353,8 +352,8 @@ TEST(EngineMutT, AllRemovedEngineRejectsSearches) {
   // the typed EmptyIndex before reaching the engine).
   EXPECT_THROW(engine.search_hits_at(q, 1, 0), std::invalid_argument);
   // Insert revives the index through the freed slots.
-  EXPECT_EQ(engine.insert(std::vector<int>(4, 1)).row, 0u);
-  EXPECT_EQ(engine.search_hits_at(q, 1, 0).front().nearest, 0u);
+  EXPECT_EQ(engine.insert(std::vector<int>(4, 1)).global_row, 0u);
+  EXPECT_EQ(engine.search_hits_at(q, 1, 0).front().global_row, 0u);
 }
 
 // ------------------------------------------------------------ banked --
@@ -406,9 +405,9 @@ TEST(BankedMutT, EmptiedBankStopsFiringAndRevives) {
   // Searches skip the dead bank entirely; k spans only live rows.
   const auto q = data::random_int_vectors(1, 4, 4, 920).front();
   const auto hit = am.search_at(q, 0);
-  EXPECT_LT(hit.nearest, 2u);
+  EXPECT_LT(hit.global_row, 2u);
   const auto hits = am.search_k_hits(q, 2);
-  for (const auto& h : hits) EXPECT_LT(h.nearest, 2u);
+  for (const auto& h : hits) EXPECT_LT(h.global_row, 2u);
   EXPECT_THROW(am.search_k_hits(q, 3), std::invalid_argument);
 
   // Reviving a row in the dead bank makes it fire again.
@@ -444,22 +443,13 @@ TEST_P(BankedInterleaveT, InterleaveMatchesFreshStoreOfSurvivingLayout) {
   const auto queries = data::random_int_vectors(5, 4, 4, 923);
   std::uint64_t ordinal = 0;
   for (const auto& q : queries) {
-    const auto a = mutated.search_at(q, ordinal);
-    const auto b = fresh.search_at(q, ordinal);
-    EXPECT_EQ(a.nearest, b.nearest);
-    EXPECT_EQ(a.bank, b.bank);
-    EXPECT_EQ(a.winner_current_a, b.winner_current_a);
-    EXPECT_EQ(a.margin_a, b.margin_a);
-    EXPECT_EQ(a.nominal_distance, b.nominal_distance);
+    expect_identical(mutated.search_at(q, ordinal),
+                     fresh.search_at(q, ordinal));
     ++ordinal;
     const auto ka = mutated.search_k_hits(q, 4);
     const auto kb = fresh.search_k_hits(q, 4);
     ASSERT_EQ(ka.size(), kb.size());
-    for (std::size_t i = 0; i < ka.size(); ++i) {
-      EXPECT_EQ(ka[i].nearest, kb[i].nearest);
-      EXPECT_EQ(ka[i].winner_current_a, kb[i].winner_current_a);
-      EXPECT_EQ(ka[i].margin_a, kb[i].margin_a);
-    }
+    for (std::size_t i = 0; i < ka.size(); ++i) expect_identical(ka[i], kb[i]);
   }
 }
 

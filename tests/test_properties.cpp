@@ -190,7 +190,7 @@ TEST(EngineProperty, WinnerNeverBeatenBySoftwareScan) {
     for (std::uint64_t q = 0; q < 10; ++q) {
       std::vector<int> query(dims);
       for (auto& v : query) v = static_cast<int>(rng.uniform_below(levels));
-      const auto winner = engine.search_hits_at(query, 1, q).front().nearest;
+      const auto winner = engine.search_hits_at(query, 1, q).front().global_row;
       long long best = std::numeric_limits<long long>::max();
       for (const auto& row : db) {
         best = std::min(best, ml::vector_distance(metric, query, row));
@@ -221,9 +221,9 @@ TEST(EngineProperty, SearchKPrefixStable) {
     const auto topj = engine.search_hits_at(query, j, j);
     for (std::size_t i = 0; i < j; ++i) {
       EXPECT_EQ(ml::vector_distance(DistanceMetric::kManhattan, query,
-                                    db[topj[i].nearest]),
+                                    db[topj[i].global_row]),
                 ml::vector_distance(DistanceMetric::kManhattan, query,
-                                    db[top5[i].nearest]));
+                                    db[top5[i].global_row]));
     }
   }
 }
