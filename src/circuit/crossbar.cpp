@@ -27,14 +27,21 @@ inline double gate_factor_for(double vgs_v, double alpha) {
 // No cell's current rises with the ScL potential, so f(v) = v - R*I(v) is
 // strictly increasing with its root in [0, R*I(0)]: each step goes to
 // v - f/(1 + R*G), G = -dI/dv, or bisects the bracket when that would
-// leave it. That takes 2-3 steps with the op-amp clamp and 3-6 without
-// it, where R*G is large enough to throw a plain fixed-point iteration
-// into oscillation. Far from the root the subthreshold exponential makes
+// leave it. A Newton step under kSclToleranceV stops the solve without a
+// pass at its point and reports the first-order current there. A solve
+// takes 1.0-2.0 passes after the first on average with the op-amp clamp
+// and 2.0-4.2 without it, where R*G is large enough to throw a plain
+// fixed-point iteration into oscillation; a bare 100 MOhm ScL takes up
+// to about 16. Far from the root the subthreshold exponential makes
 // Newton crawl by about SS/ln10 per step, so a step that is not under
 // half the one before last bisects too (the classic rtsafe guard); at
 // the clamped and ablation operating points it never fires.
 constexpr int kMaxSclSteps = 60;
 constexpr double kSclToleranceV = 1e-7;
+
+// The widest pass's block. search() pads its query spans to a multiple of
+// it, so that a row of any length runs only full blocks.
+constexpr std::size_t kRowPadding = 8;
 
 // W-lane double vectors (GCC/Clang vector extension) and the integer
 // masks their comparisons give. Every lane operation is the IEEE
@@ -194,7 +201,10 @@ template <int W>
 // lane j mod 4 in device order, and the lanes join as (l0 + l1) +
 // (l2 + l3), so every W gives the same bits. A ragged tail is
 // zero-padded to one block: a padded cell has Vds = 0, is cut off at any
-// v >= 0 and adds exactly +0.
+// v >= 0 and adds exactly +0. The tail is copied one device at a time
+// under a fixed trip count, which compiles to moves rather than to a
+// memmove call that would spill the splatted constants. search() pads
+// its query spans, so only its last row or few take this path.
 template <int W>
 [[gnu::always_inline]] inline RowPass row_pass_body(const RowDevices& row,
                                                     const CellModel& model,
@@ -214,8 +224,9 @@ template <int W>
     double tail[6][kBlock] = {};
     const double* const spans[6] = {row.vgs, row.vds, row.gate_factor,
                                     row.vth, row.inv_r, row.vth_factor};
-    for (std::size_t s = 0; s < 6; ++s) {
-      std::copy(spans[s] + full, spans[s] + row.count, tail[s]);
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      if (full + i == row.count) break;
+      for (std::size_t s = 0; s < 6; ++s) tail[s][i] = spans[s][full + i];
     }
     const RowDevices padded{tail[0], tail[1], tail[2],
                             tail[3], tail[4], tail[5], kBlock};
@@ -262,9 +273,12 @@ struct SclSolve {
 };
 
 // The safeguarded Newton solve (see kMaxSclSteps), each pass over the
-// row run by `row_pass`. One step is one pass after the first; the solve
-// converges when a step moves v by less than kSclToleranceV, and reports
-// the current at the last v it evaluated.
+// row run by `row_pass`. One step is one pass after the first. A Newton
+// step that would move v by less than kSclToleranceV ends the solve
+// without a pass there: it reports the first-order current
+// I(v) - G(v)*(v_next - v), which is v_next/R in exact arithmetic. A
+// bisection step converges when it moved v by less than the tolerance,
+// and reports the current its pass evaluated.
 SclSolve solve_scl(const RowDevices& row, const CellModel& model,
                    double source_res, RowPassFn row_pass) {
   SclSolve solve;
@@ -285,6 +299,10 @@ SclSolve solve_scl(const RowDevices& row, const CellModel& model,
     if (!(v_next >= lo && v_next <= hi) ||
         std::abs(v_next - v_scl) > 0.5 * step_before) {
       v_next = 0.5 * (lo + hi);
+    } else if (std::abs(v_next - v_scl) < kSclToleranceV) {
+      solve.current_a = pass.current_a - pass.conductance_s * (v_next - v_scl);
+      solve.converged = true;
+      return solve;
     }
     // exp(-Vscl*a) once per pass covers the whole row.
     pass = row_pass(row, model, v_next, std::exp(-v_next * model.alpha));
@@ -538,11 +556,14 @@ std::vector<double> CrossbarArray::search(std::span<const int> query,
     throw std::invalid_argument("search: query.size() != dims");
   }
   // Resolve the per-device-column biases by copying rows of the cached
-  // tables — no encoding/ladder indirection on the query path.
+  // tables — no encoding/ladder indirection on the query path. The spans
+  // run on to a multiple of kRowPadding devices with Vds = 0 there.
   const std::size_t per_row = dims_ * fefets_per_cell_;
-  std::vector<double> vgs(per_row);
-  std::vector<double> vds(per_row);
-  std::vector<double> gate_factors(per_row);
+  const std::size_t padded_row =
+      (per_row + kRowPadding - 1) / kRowPadding * kRowPadding;
+  std::vector<double> vgs(padded_row);
+  std::vector<double> vds(padded_row);
+  std::vector<double> gate_factors(padded_row);
   for (std::size_t dim = 0; dim < dims_; ++dim) {
     const int qv = query[dim];
     if (qv < 0 || static_cast<std::size_t>(qv) >= encoding_.search_count()) {
@@ -569,10 +590,16 @@ std::vector<double> CrossbarArray::search(std::span<const int> query,
       currents[row] = std::numeric_limits<double>::infinity();
       return;
     }
+    // A padded row reads on into the next row's devices, which sit where
+    // the query has Vds = 0, so they are cut off and add exactly +0, as a
+    // zero-padded tail does. Only the last rows, where that read would
+    // run off the device arrays, keep their ragged tail.
     const std::size_t base = row * per_row;
+    const std::size_t count =
+        base + padded_row <= device_count() ? padded_row : per_row;
     solves[row] = solve_scl(
         {vgs.data(), vds.data(), gate_factors.data(), vth_.data() + base,
-         inv_r_.data() + base, vth_factor_.data() + base, per_row},
+         inv_r_.data() + base, vth_factor_.data() + base, count},
         model, source_res, row_pass);
     currents[row] = solves[row].current_a;
   };

@@ -87,9 +87,9 @@ struct SearchProfile {
 
   /// ScL solve behaviour during the replay (one safeguarded Newton solve
   /// per row per circuit-fidelity query; all zero at nominal fidelity,
-  /// where no solves run): how many Newton steps the solves took and how
-  /// many hit the step cap without meeting the tolerance, which would
-  /// otherwise go unseen.
+  /// where no solves run): how many passes after the first the solves
+  /// ran (circuit::SclSolveStats::iterations) and how many hit the step
+  /// cap without meeting the tolerance, which would otherwise go unseen.
   std::uint64_t scl_solves = 0;
   double scl_mean_iterations = 0.0;
   std::uint64_t scl_non_converged = 0;
