@@ -27,10 +27,13 @@ inline double gate_factor_for(double vgs_v, double alpha) {
 // No cell's current rises with the ScL potential, so f(v) = v - R*I(v) is
 // strictly increasing with its root in [0, R*I(0)]: each step goes to
 // v - f/(1 + R*G), G = -dI/dv, or bisects the bracket when that would
-// leave it. A Newton step under kSclToleranceV stops the solve without a
-// pass at its point and reports the first-order current there. A solve
-// takes 1.0-2.0 passes after the first on average with the op-amp clamp
-// and 2.0-4.2 without it, where R*G is large enough to throw a plain
+// leave it. A Newton step under kSclToleranceV stops the solve without
+// evaluating its point and reports the first-order current there. A step
+// evaluates the row's closed form when no device can change the form of
+// its current inside the bracket (see solve_scl), which with the op-amp
+// clamp holds for most rows; otherwise it runs a pass. A solve that runs
+// passes takes 1.0-2.0 after the first on average with the clamp and
+// 2.0-4.2 without it, where R*G is large enough to throw a plain
 // fixed-point iteration into oscillation; a bare 100 MOhm ScL takes up
 // to about 16. Far from the root the subthreshold exponential makes
 // Newton crawl by about SS/ln10 per step, so a step that is not under
@@ -42,6 +45,11 @@ constexpr double kSclToleranceV = 1e-7;
 // The widest pass's block. search() pads its query spans to a multiple of
 // it, so that a row of any length runs only full blocks.
 constexpr std::size_t kRowPadding = 8;
+
+// The margin, and so the safe potential, of a row not programmed since
+// it was built or erased: no bracket lies below it, so it solves by
+// passes.
+constexpr double kNoSafePotential = -std::numeric_limits<double>::infinity();
 
 // W-lane double vectors (GCC/Clang vector extension) and the integer
 // masks their comparisons give. Every lane operation is the IEEE
@@ -107,6 +115,29 @@ template <typename Half, typename Vec>
               sizeof half);
   sum += half;
 }
+/// The smallest of v's lanes, as vector compares: the halves meet lane by
+/// lane down to one pair, whose lanes meet by swapping them.
+template <int W>
+[[gnu::always_inline]] inline double min_lane(
+    const typename Lanes<W>::Vec& v) {
+  if constexpr (W == 2) {
+    using Vec = typename Lanes<2>::Vec;
+    using Mask = typename Lanes<2>::Mask;
+    const Vec swapped = {v[1], v[0]};
+    Vec low{};
+    select(__builtin_bit_cast(Mask, swapped < v), swapped, v, low);
+    return low[0];
+  } else {
+    using Half = typename Lanes<W / 2>::Vec;
+    using Mask = typename Lanes<W / 2>::Mask;
+    Half lo{}, hi{};
+    std::memcpy(&lo, &v, sizeof lo);
+    std::memcpy(&hi, reinterpret_cast<const char*>(&v) + sizeof lo,
+                sizeof hi);
+    select(__builtin_bit_cast(Mask, hi < lo), hi, lo, lo);
+    return min_lane<W / 2>(lo);
+  }
+}
 
 using detail::CellModel;
 using detail::RowDevices;
@@ -126,16 +157,16 @@ struct PassConstants {
 //   I = 0 when cut off (Vds_eff <= 0), else
 //     = min(Vgs_eff >= Vth ? Isat : max(term, leak), Vds_eff / R)
 // and G is 1/R ohmic, a*term subthreshold, and 0 saturated, on the
-// leakage floor or cut off. Every select takes one comparison's mask:
-// GCC 12 scalarizes a select on a combined mask into per-lane branches.
-// No multiply feeds an add, so there is nothing to fuse into an FMA.
+// leakage floor or cut off; `exp_conductance` is G where the cell is not
+// ohmic, which is a*term on the exponential and 0 elsewhere. Every select
+// takes one comparison's mask: GCC 12 scalarizes a select on a combined
+// mask into per-lane branches. No multiply feeds an add, so there is
+// nothing to fuse into an FMA.
 template <int W>
-[[gnu::always_inline]] inline void cells(const RowDevices& row,
-                                         std::size_t j,
-                                         const PassConstants<W>& k,
-                                         typename Lanes<W>::Vec& current,
-                                         typename Lanes<W>::Vec&
-                                             conductance) {
+[[gnu::always_inline]] inline void cells(
+    const RowDevices& row, std::size_t j, const PassConstants<W>& k,
+    typename Lanes<W>::Vec& current, typename Lanes<W>::Vec& conductance,
+    typename Lanes<W>::Vec& exp_conductance) {
   using Vec = typename Lanes<W>::Vec;
   using Mask = typename Lanes<W>::Mask;
   Vec vgs{}, vds{}, gate{}, vth{}, inv_r{}, vth_factor{};
@@ -162,15 +193,18 @@ template <int W>
   select(ohmic, inv_r, fet_conductance, conductance);
   keep(conducting, current, current);
   keep(conducting, conductance, conductance);
+  keep(__builtin_bit_cast(Mask, fet <= ohm), conductance, exp_conductance);
 }
 
-/// A pass's four sum lanes, for current and for conductance, in 4/N
-/// registers of N = min(W, 4) lanes; register r holds lanes r*N onwards.
+/// A pass's four sum lanes, for current, conductance and exponential
+/// conductance, in 4/N registers of N = min(W, 4) lanes; register r holds
+/// lanes r*N onwards.
 template <int W>
 struct LaneSums {
   static constexpr int kWidth = W < 4 ? W : 4;
   typename Lanes<kWidth>::Vec current[4 / kWidth] = {};
   typename Lanes<kWidth>::Vec conductance[4 / kWidth] = {};
+  typename Lanes<kWidth>::Vec exp_conductance[4 / kWidth] = {};
 };
 
 // Adds the block of max(W, 4) devices from device j on into the lane
@@ -183,17 +217,19 @@ template <int W>
                                              std::size_t j,
                                              const PassConstants<W>& k,
                                              LaneSums<W>& sums) {
-  typename Lanes<W>::Vec current{}, conductance{};
+  typename Lanes<W>::Vec current{}, conductance{}, exp_conductance{};
   if constexpr (W <= 4) {
     for (std::size_t r = 0; r < 4 / W; ++r) {
-      cells(row, j + r * W, k, current, conductance);
+      cells(row, j + r * W, k, current, conductance, exp_conductance);
       sums.current[r] += current;
       sums.conductance[r] += conductance;
+      sums.exp_conductance[r] += exp_conductance;
     }
   } else {
-    cells(row, j, k, current, conductance);
+    cells(row, j, k, current, conductance, exp_conductance);
     add_halves(current, sums.current[0]);
     add_halves(conductance, sums.conductance[0]);
+    add_halves(exp_conductance, sums.exp_conductance[0]);
   }
 }
 
@@ -233,30 +269,133 @@ template <int W>
     add_block(padded, 0, k, sums);
   }
   // The registers hold lanes 0-3 in order.
-  double i[4] = {}, g[4] = {};
+  double i[4] = {}, g[4] = {}, e[4] = {};
   std::memcpy(i, sums.current, sizeof i);
   std::memcpy(g, sums.conductance, sizeof g);
-  return {(i[0] + i[1]) + (i[2] + i[3]), (g[0] + g[1]) + (g[2] + g[3])};
+  std::memcpy(e, sums.exp_conductance, sizeof e);
+  return {(i[0] + i[1]) + (i[2] + i[3]), (g[0] + g[1]) + (g[2] + g[3]),
+          (e[0] + e[1]) + (e[2] + e[3])};
+}
+
+/// The margin pass's constants, splatted once per pass.
+template <int W>
+struct MarginConstants {
+  typename Lanes<W>::Vec isat, min_leak, inv_alpha, floor_v, ohmic_slope,
+      above, below;
+};
+
+// W cells' margins (see detail::MarginPassFn), for devices j .. j+W-1 of
+// `row`. Each cell's regime is decided by the compares a row pass makes
+// at Vscl = 0, on the same operands, so the margin classifies every cell
+// as the first pass of a solve does. The ohmic bound is evaluated as
+// (d + 1/a) - (Vds/R)/(Isat*a), which the exponential lanes share as
+// (d + ln(Isat/Imin)/a) - 0. Every select takes one comparison's mask,
+// and the one multiply that feeds a subtraction passes through a select
+// first, so there is nothing to fuse into an FMA.
+template <int W>
+[[gnu::always_inline]] inline void margin_cells(const RowDevices& row,
+                                                std::size_t j,
+                                                const MarginConstants<W>& k,
+                                                typename Lanes<W>::Vec&
+                                                    margin) {
+  using Vec = typename Lanes<W>::Vec;
+  using Mask = typename Lanes<W>::Mask;
+  Vec vgs{}, vds{}, gate{}, vth{}, inv_r{}, vth_factor{};
+  load(row.vgs + j, vgs);
+  load(row.vds + j, vds);
+  load(row.gate_factor + j, gate);
+  load(row.vth + j, vth);
+  load(row.inv_r + j, inv_r);
+  load(row.vth_factor + j, vth_factor);
+  const Vec term = k.isat * (gate * vth_factor);
+  const auto subthreshold = __builtin_bit_cast(Mask, vgs < vth);
+  const auto above_floor = __builtin_bit_cast(Mask, k.min_leak < term);
+  Vec fet{};
+  select(above_floor, term, k.min_leak, fet);
+  select(subthreshold, fet, k.isat, fet);
+  const Vec ohm = vds * inv_r;
+  const auto ohmic = __builtin_bit_cast(Mask, ohm < fet);
+  const auto conducting = __builtin_bit_cast(Mask, Vec{} < vds);
+  Vec offset{}, slope{};
+  select(ohmic, k.inv_alpha, k.floor_v, offset);
+  keep(ohmic, ohm * k.ohmic_slope, slope);
+  const Vec bound = ((vgs - vth) + offset) - slope;
+  select(above_floor, bound, k.above, margin);
+  select(subthreshold, margin, k.below, margin);
+  select(ohmic, bound, margin, margin);
+  select(conducting, margin, k.above, margin);
+}
+
+// The smallest margin over a row, in blocks of W devices. Each lane
+// keeps its own minimum and the lanes meet in halves; min is exact, so
+// every W gives the same result. A ragged tail is zero-padded to one
+// block: a padded cell has Vds = 0, is cut off and bounds nothing.
+template <int W>
+[[gnu::always_inline]] inline double margin_body(const RowDevices& row,
+                                                 const detail::MarginModel&
+                                                     model) {
+  using Vec = typename Lanes<W>::Vec;
+  using Mask = typename Lanes<W>::Mask;
+  MarginConstants<W> k{};
+  splat<W>(model.isat_a, k.isat);
+  splat<W>(model.min_leak_a, k.min_leak);
+  splat<W>(model.inv_alpha, k.inv_alpha);
+  splat<W>(model.floor_v, k.floor_v);
+  splat<W>(model.ohmic_slope, k.ohmic_slope);
+  splat<W>(std::numeric_limits<double>::infinity(), k.above);
+  splat<W>(-std::numeric_limits<double>::infinity(), k.below);
+  Vec low = k.above;
+  Vec margin{};
+  const std::size_t full = row.count - row.count % W;
+  for (std::size_t j = 0; j < full; j += W) {
+    margin_cells(row, j, k, margin);
+    select(__builtin_bit_cast(Mask, margin < low), margin, low, low);
+  }
+  if (full < row.count) {
+    double tail[6][W] = {};
+    const double* const spans[6] = {row.vgs, row.vds, row.gate_factor,
+                                    row.vth, row.inv_r, row.vth_factor};
+    for (std::size_t i = 0; i < W; ++i) {
+      if (full + i == row.count) break;
+      for (std::size_t s = 0; s < 6; ++s) tail[s][i] = spans[s][full + i];
+    }
+    const RowDevices padded{tail[0], tail[1], tail[2],
+                            tail[3], tail[4], tail[5], W};
+    margin_cells(padded, 0, k, margin);
+    select(__builtin_bit_cast(Mask, margin < low), margin, low, low);
+  }
+  return min_lane<W>(low);
 }
 
 // The portable pass: two 2-wide registers per block of four devices,
-// SSE2 at the baseline x86-64 ISA. search_reference() always runs it.
+// SSE2 at the baseline x86-64 ISA. search_reference() always runs it,
+// and its margin pass.
 RowPass row_pass_portable(const RowDevices& row, const CellModel& model,
                           double v_scl, double scl_factor) {
   return row_pass_body<2>(row, model, v_scl, scl_factor);
 }
 
+double row_margin_portable(const RowDevices& row,
+                           const detail::MarginModel& model) {
+  return margin_body<2>(row, model);
+}
+
 #if defined(__x86_64__)
-// The same body in one 256-bit register per block of four, and in one
+// The same bodies in one 256-bit register per block of four, and in one
 // 512-bit register per block of eight. Each target names exactly the
 // features runnable_row_passes() checks for before it lists the pass.
-// avx512f enables FMA, but no multiply in the body feeds an add (and the
-// library builds with -ffp-contract=off besides), so nothing is fused
-// and every lane rounds as in the portable pass.
+// avx512f enables FMA, but no multiply in either body feeds an add (and
+// the library builds with -ffp-contract=off besides), so nothing is
+// fused and every lane rounds as in the portable pass.
 __attribute__((target("avx2"))) RowPass row_pass_avx2(
     const RowDevices& row, const CellModel& model, double v_scl,
     double scl_factor) {
   return row_pass_body<4>(row, model, v_scl, scl_factor);
+}
+
+__attribute__((target("avx2"))) double row_margin_avx2(
+    const RowDevices& row, const detail::MarginModel& model) {
+  return margin_body<4>(row, model);
 }
 
 __attribute__((target("avx512f"))) RowPass row_pass_avx512(
@@ -264,23 +403,38 @@ __attribute__((target("avx512f"))) RowPass row_pass_avx512(
     double scl_factor) {
   return row_pass_body<8>(row, model, v_scl, scl_factor);
 }
+
+__attribute__((target("avx512f"))) double row_margin_avx512(
+    const RowDevices& row, const detail::MarginModel& model) {
+  return margin_body<8>(row, model);
+}
 #endif
 
 struct SclSolve {
   double current_a = 0.0;
-  int steps = 0;
+  int passes = 0;  ///< passes over the row after the first
+  bool closed_form = false;
   bool converged = true;
 };
 
 // The safeguarded Newton solve (see kMaxSclSteps), each pass over the
-// row run by `row_pass`. One step is one pass after the first. A Newton
-// step that would move v by less than kSclToleranceV ends the solve
-// without a pass there: it reports the first-order current
-// I(v) - G(v)*(v_next - v), which is v_next/R in exact arithmetic. A
-// bisection step converges when it moved v by less than the tolerance,
-// and reports the current its pass evaluated.
+// row run by `row_pass`. A Newton step that would move v by less than
+// kSclToleranceV ends the solve without evaluating its point: it reports
+// the first-order current I(v) - G(v)*(v_next - v), which is v_next/R in
+// exact arithmetic. A bisection step converges when it moved v by less
+// than the tolerance, and reports the current it evaluated.
+//
+// When the bracket [0, R*I(0)] lies at or below `safe_v`, the row's
+// potential below which no device's current changes form, each device
+// keeps the form it has at v = 0 over the whole bracket: a constant, an
+// ohmic (Vds - v)/R, or an exponential term(0)*e^{-av}. The row current
+// is then I(v) = (I0 - E) - B*v + E*e^{-av} and G(v) = B + Gexp*e^{-av},
+// with Gexp the first pass's exponential conductance, E = Gexp/a and
+// B = G0 - Gexp, so every later step evaluates that closed form, one
+// exp, instead of a pass over the devices. Every other row runs a pass
+// per step.
 SclSolve solve_scl(const RowDevices& row, const CellModel& model,
-                   double source_res, RowPassFn row_pass) {
+                   double source_res, double safe_v, RowPassFn row_pass) {
   SclSolve solve;
   RowPass pass = row_pass(row, model, 0.0, 1.0);
   if (source_res <= 0.0) {
@@ -289,11 +443,16 @@ SclSolve solve_scl(const RowDevices& row, const CellModel& model,
   }
   double lo = 0.0;
   double hi = source_res * pass.current_a;
+  solve.closed_form = hi <= safe_v;
+  const double exp_conductance = pass.exp_conductance_s;
+  const double exp_amplitude = exp_conductance / model.alpha;
+  const double ohmic_conductance = pass.conductance_s - exp_conductance;
+  const double constant_current = pass.current_a - exp_amplitude;
   double v_scl = 0.0;
   double last_step = std::numeric_limits<double>::infinity();
   double step_before = last_step;
   solve.converged = false;
-  while (solve.steps < kMaxSclSteps) {
+  for (int step = 0; step < kMaxSclSteps; ++step) {
     double v_next = v_scl - (v_scl - source_res * pass.current_a) /
                                 (1.0 + source_res * pass.conductance_s);
     if (!(v_next >= lo && v_next <= hi) ||
@@ -304,9 +463,16 @@ SclSolve solve_scl(const RowDevices& row, const CellModel& model,
       solve.converged = true;
       return solve;
     }
-    // exp(-Vscl*a) once per pass covers the whole row.
-    pass = row_pass(row, model, v_next, std::exp(-v_next * model.alpha));
-    ++solve.steps;
+    // exp(-Vscl*a) once per step covers the whole row.
+    const double scl_factor = std::exp(-v_next * model.alpha);
+    if (solve.closed_form) {
+      pass.current_a = (constant_current - ohmic_conductance * v_next) +
+                       exp_amplitude * scl_factor;
+      pass.conductance_s = ohmic_conductance + exp_conductance * scl_factor;
+    } else {
+      pass = row_pass(row, model, v_next, scl_factor);
+      ++solve.passes;
+    }
     if (v_next - source_res * pass.current_a < 0.0) {
       lo = v_next;
     } else {
@@ -324,6 +490,24 @@ SclSolve solve_scl(const RowDevices& row, const CellModel& model,
   return solve;
 }
 
+// A row's margin: the smallest margin of its devices under every search
+// value's biases. `first` holds search value 0's biases, and value s's
+// follow s*first.count columns on. The row's safe potential is the lower
+// of this and the array's guard (MarginModel::guard_v).
+double row_margin(const RowDevices& first, std::size_t values,
+                  const detail::MarginModel& model,
+                  detail::MarginPassFn margin) {
+  double safe = std::numeric_limits<double>::infinity();
+  RowDevices row = first;
+  for (std::size_t s = 0; s < values; ++s) {
+    safe = std::min(safe, margin(row, model));
+    row.vgs += row.count;
+    row.vds += row.count;
+    row.gate_factor += row.count;
+  }
+  return safe;
+}
+
 }  // namespace
 
 namespace detail {
@@ -332,14 +516,14 @@ std::span<const CompiledRowPass> runnable_row_passes() noexcept {
   static const auto table = [] {
     std::array<CompiledRowPass, 3> passes{};
     std::size_t count = 0;
-    passes[count++] = {"portable", &row_pass_portable};
+    passes[count++] = {"portable", &row_pass_portable, &row_margin_portable};
 #if defined(__x86_64__)
     __builtin_cpu_init();  // in case this first runs from a static initializer
     if (__builtin_cpu_supports("avx2")) {
-      passes[count++] = {"avx2", &row_pass_avx2};
+      passes[count++] = {"avx2", &row_pass_avx2, &row_margin_avx2};
     }
     if (__builtin_cpu_supports("avx512f")) {
-      passes[count++] = {"avx512", &row_pass_avx512};
+      passes[count++] = {"avx512", &row_pass_avx512, &row_margin_avx512};
     }
 #endif
     return std::pair{passes, count};
@@ -425,8 +609,10 @@ void CrossbarArray::init_derived_state() {
   subvt_alpha_ = std::log(10.0) / (config_.fet.ss_mv_per_dec * 1e-3);
   erased_vth_factor_ = std::exp(-config_.fet.vth_max_v * subvt_alpha_);
   inv_r_.resize(devices);
+  double r_max = 0.0;
   for (std::size_t d = 0; d < devices; ++d) {
     inv_r_[d] = 1.0 / resistances_[d];
+    r_max = std::max(r_max, resistances_[d]);
   }
   vth_factor_.assign(devices, erased_vth_factor_);
 
@@ -446,6 +632,46 @@ void CrossbarArray::init_derived_state() {
       bias_gate_factor_[e] = gate_factor_for(bias_vgs_[e], subvt_alpha_);
     }
   }
+
+  // The same biases spread over a whole row once per search value, for
+  // the margin passes behind each row's safe ScL potential.
+  const std::size_t per_row = dims_ * fefets_per_cell_;
+  value_vgs_.resize(encoding_.search_count() * per_row);
+  value_vds_.resize(value_vgs_.size());
+  value_gate_factor_.resize(value_vgs_.size());
+  vds_min_v_ = std::numeric_limits<double>::infinity();
+  for (std::size_t sch = 0; sch < encoding_.search_count(); ++sch) {
+    for (std::size_t col = 0; col < per_row; ++col) {
+      const std::size_t e = sch * fefets_per_cell_ + col % fefets_per_cell_;
+      value_vgs_[sch * per_row + col] = bias_vgs_[e];
+      value_vds_[sch * per_row + col] = bias_vds_[e];
+      value_gate_factor_[sch * per_row + col] = bias_gate_factor_[e];
+    }
+  }
+  for (const double vds : bias_vds_) {
+    if (vds > 0.0) vds_min_v_ = std::min(vds_min_v_, vds);
+  }
+  scl_guard_v_ = margin_model().guard_v(vds_min_v_, r_max);
+  // Every caller programs or erases each slot before it searches, so the
+  // erased rows get no margin pass here: without a safe potential they
+  // would solve by passes.
+  scl_margin_v_.assign(rows_, kNoSafePotential);
+}
+
+detail::MarginModel CrossbarArray::margin_model() const {
+  return detail::MarginModel::of(
+      {config_.fet.isat_a, config_.fet.min_leak_a, subvt_alpha_});
+}
+
+double CrossbarArray::row_margin_of(std::size_t row) const {
+  const std::size_t per_row = dims_ * fefets_per_cell_;
+  const std::size_t base = row * per_row;
+  return row_margin(
+      {value_vgs_.data(), value_vds_.data(), value_gate_factor_.data(),
+       vth_.data() + base, inv_r_.data() + base, vth_factor_.data() + base,
+       per_row},
+      encoding_.search_count(), margin_model(),
+      detail::runnable_row_passes().back().margin);
 }
 
 void CrossbarArray::program_row(std::size_t row, std::span<const int> values) {
@@ -479,6 +705,7 @@ void CrossbarArray::program_row(std::size_t row, std::span<const int> values) {
       vth_factor_[dev] = std::exp(-vth_[dev] * subvt_alpha_);
     }
   }
+  scl_margin_v_[row] = row_margin_of(row);
 }
 
 void CrossbarArray::append_row(std::span<const int> values, util::Rng& rng) {
@@ -509,10 +736,17 @@ void CrossbarArray::append_row(std::span<const int> values, util::Rng& rng) {
   vth_.resize(old_devices + per_row, config_.fet.vth_max_v);
   vth_factor_.resize(old_devices + per_row, erased_vth_factor_);
   inv_r_.resize(old_devices + per_row);
+  double r_max = 0.0;
   for (std::size_t d = old_devices; d < old_devices + per_row; ++d) {
     inv_r_[d] = 1.0 / resistances_[d];
+    r_max = std::max(r_max, resistances_[d]);
   }
   stored_values_.resize((rows_ + 1) * dims_, 0);
+  // The guard falls as the largest R rises, so the lower of the two
+  // guards is the grown array's.
+  scl_guard_v_ =
+      std::min(scl_guard_v_, margin_model().guard_v(vds_min_v_, r_max));
+  scl_margin_v_.push_back(kNoSafePotential);  // program_row sets it
   live_.push_back(1);
   ++live_rows_;
   ++rows_;
@@ -534,6 +768,7 @@ void CrossbarArray::erase_row(std::size_t row) {
     vth_[base + j] = config_.fet.vth_max_v;
     vth_factor_[base + j] = erased_vth_factor_;
   }
+  scl_margin_v_[row] = kNoSafePotential;
   live_[row] = 0;
   --live_rows_;
 }
@@ -600,7 +835,8 @@ std::vector<double> CrossbarArray::search(std::span<const int> query,
     solves[row] = solve_scl(
         {vgs.data(), vds.data(), gate_factors.data(), vth_.data() + base,
          inv_r_.data() + base, vth_factor_.data() + base, count},
-        model, source_res, row_pass);
+        model, source_res, std::min(scl_margin_v_[row], scl_guard_v_),
+        row_pass);
     currents[row] = solves[row].current_a;
   };
   if (parallel_rows && rows_ > 1) {
@@ -611,13 +847,16 @@ std::vector<double> CrossbarArray::search(std::span<const int> query,
   // One batched counter update per query, so parallel row solves never
   // contend on the shared atomics.
   std::uint64_t iterations = 0;
+  std::uint64_t closed_form = 0;
   std::uint64_t non_converged = 0;
   for (const auto& solve : solves) {
-    iterations += static_cast<std::uint64_t>(solve.steps);
+    iterations += static_cast<std::uint64_t>(solve.passes);
+    closed_form += solve.closed_form ? 1 : 0;
     non_converged += solve.converged ? 0 : 1;
   }
   stat_solves_.fetch_add(live_rows_, std::memory_order_relaxed);
   stat_iterations_.fetch_add(iterations, std::memory_order_relaxed);
+  stat_closed_form_.fetch_add(closed_form, std::memory_order_relaxed);
   stat_non_converged_.fetch_add(non_converged, std::memory_order_relaxed);
   return currents;
 }
@@ -629,30 +868,55 @@ std::vector<double> CrossbarArray::search_reference(
   }
   // Every factor re-derived from first principles instead of read from
   // the cached tables: the biases from the encoding and ladder and
-  // exp(Vgs*a) per query, 1/R and exp(-Vth*a) per device per row. The
-  // solve itself is search()'s, run always with the portable pass, so the
-  // two agree bit for bit by construction and any drift is a table,
-  // gather or instruction-set bug.
+  // exp(Vgs*a) per query and per search value, 1/R and exp(-Vth*a) per
+  // device per row, and from those each row's safe potential. The solve
+  // itself is search()'s, run always with the portable passes, so the two
+  // agree bit for bit by construction and any drift is a table, gather,
+  // stale margin or instruction-set bug.
   const std::size_t per_row = dims_ * fefets_per_cell_;
-  std::vector<double> vgs(per_row, 0.0);
-  std::vector<double> vds(per_row, 0.0);
-  std::vector<double> gate_factors(per_row, 0.0);
+  const std::size_t values = encoding_.search_count();
+  // Search value s's biases over a whole row at [s*per_row + column];
+  // the query's own follow at [values*per_row + column].
+  std::vector<double> vgs((values + 1) * per_row, 0.0);
+  std::vector<double> vds(vgs.size(), 0.0);
+  std::vector<double> gate_factors(vgs.size(), 0.0);
+  // Writes, from column `at` on, each dim's biases under search value
+  // value_of_dim(dim).
+  const auto derive_biases = [&](std::size_t at, auto value_of_dim) {
+    for (std::size_t dim = 0; dim < dims_; ++dim) {
+      const std::size_t value = value_of_dim(dim);
+      for (std::size_t i = 0; i < fefets_per_cell_; ++i) {
+        const std::size_t col = at + dim * fefets_per_cell_ + i;
+        const int level = encoding_.search_level(value, i);
+        vgs[col] = ladder_.vsearch(static_cast<std::size_t>(level));
+        vds[col] = config_.cell.vds_unit_v * encoding_.vds_multiple(value, i);
+        gate_factors[col] = gate_factor_for(vgs[col], subvt_alpha_);
+      }
+    }
+  };
   for (std::size_t dim = 0; dim < dims_; ++dim) {
     const int qv = query[dim];
-    if (qv < 0 || static_cast<std::size_t>(qv) >= encoding_.search_count()) {
+    if (qv < 0 || static_cast<std::size_t>(qv) >= values) {
       throw std::out_of_range("search: query value out of range");
     }
-    for (std::size_t i = 0; i < fefets_per_cell_; ++i) {
-      const std::size_t col = dim * fefets_per_cell_ + i;
-      const int level = encoding_.search_level(static_cast<std::size_t>(qv), i);
-      vgs[col] = ladder_.vsearch(static_cast<std::size_t>(level));
-      vds[col] = config_.cell.vds_unit_v *
-                 encoding_.vds_multiple(static_cast<std::size_t>(qv), i);
-      gate_factors[col] = gate_factor_for(vgs[col], subvt_alpha_);
-    }
   }
+  for (std::size_t value = 0; value < values; ++value) {
+    derive_biases(value * per_row, [value](std::size_t) { return value; });
+  }
+  const std::size_t at = values * per_row;
+  derive_biases(at, [&](std::size_t dim) {
+    return static_cast<std::size_t>(query[dim]);
+  });
   const CellModel model{config_.fet.isat_a, config_.fet.min_leak_a,
                         subvt_alpha_};
+  const auto margins = detail::MarginModel::of(model);
+  double vds_min = std::numeric_limits<double>::infinity();
+  for (std::size_t j = 0; j < at; ++j) {
+    if (vds[j] > 0.0) vds_min = std::min(vds_min, vds[j]);
+  }
+  double r_max = 0.0;
+  for (const double r : resistances_) r_max = std::max(r_max, r);
+  const double guard_v = margins.guard_v(vds_min, r_max);
   const double source_res = source_res_ohm();
   std::vector<double> inv_r(per_row);
   std::vector<double> vth_factor(per_row);
@@ -668,11 +932,18 @@ std::vector<double> CrossbarArray::search_reference(
       inv_r[j] = 1.0 / resistances_[base + j];
       vth_factor[j] = std::exp(-vth_[base + j] * subvt_alpha_);
     }
-    currents[row] = solve_scl({vgs.data(), vds.data(), gate_factors.data(),
-                               vth_.data() + base, inv_r.data(),
-                               vth_factor.data(), per_row},
-                              model, source_res, &row_pass_portable)
-                        .current_a;
+    const double safe_v = std::min(
+        row_margin({vgs.data(), vds.data(), gate_factors.data(),
+                    vth_.data() + base, inv_r.data(), vth_factor.data(),
+                    per_row},
+                   values, margins, &row_margin_portable),
+        guard_v);
+    currents[row] =
+        solve_scl({vgs.data() + at, vds.data() + at, gate_factors.data() + at,
+                   vth_.data() + base, inv_r.data(), vth_factor.data(),
+                   per_row},
+                  model, source_res, safe_v, &row_pass_portable)
+            .current_a;
   }
   return currents;
 }
@@ -771,6 +1042,7 @@ SclSolveStats CrossbarArray::scl_solve_stats() const noexcept {
   SclSolveStats stats;
   stats.solves = stat_solves_.load(std::memory_order_relaxed);
   stats.iterations = stat_iterations_.load(std::memory_order_relaxed);
+  stats.closed_form = stat_closed_form_.load(std::memory_order_relaxed);
   stats.non_converged = stat_non_converged_.load(std::memory_order_relaxed);
   return stats;
 }
@@ -778,6 +1050,7 @@ SclSolveStats CrossbarArray::scl_solve_stats() const noexcept {
 void CrossbarArray::reset_scl_solve_stats() const noexcept {
   stat_solves_.store(0, std::memory_order_relaxed);
   stat_iterations_.store(0, std::memory_order_relaxed);
+  stat_closed_form_.store(0, std::memory_order_relaxed);
   stat_non_converged_.store(0, std::memory_order_relaxed);
 }
 

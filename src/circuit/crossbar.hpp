@@ -28,11 +28,20 @@
 // increasing with its root bracketed in [0, R_src*I(0)]; a step that
 // would leave the bracket, or would not halve the step before last,
 // bisects it instead. A Newton step under the 1e-7 V tolerance ends the
-// solve without a pass at its point and reports the first-order current
-// I(v) - G(v)*(v_next - v) there; on average a solve runs 1.0-2.0 passes
-// after the first with the op-amp clamp, 2.0-4.2 without it, and up to
-// about 16 on a bare 100 MOhm ScL. Each pass returns I and
-// the row conductance G = -dI/dv together, each summed in four lanes
+// solve without evaluating its point and reports the first-order current
+// I(v) - G(v)*(v_next - v) there. Each row keeps a safe potential, set
+// when it is programmed: below it no device's current changes form
+// (constant, ohmic or exponential in v) under any search value.
+// When the bracket lies below it, the solve's only pass is the first,
+// at v = 0, and every later step evaluates the row's closed form
+// I(v) = (I0 - E) - B*v + E*e^{-av} built from that pass. With the
+// op-amp clamp that is 81-95% of solves over 512x64 rows of random 2-bit
+// data, fewer over longer rows, whose bracket is wider (46-77% at
+// 256x128). Every other row runs a pass per step: on average 1.0-2.0
+// after the first with the clamp, 2.0-4.2 without it, where no solve
+// closes, and up to about 16 on a bare 100 MOhm ScL. Each pass
+// returns I, the row conductance G = -dI/dv and the part of G on the
+// subthreshold exponential together, each summed in four lanes
 // (device j into lane j mod 4 in device order, joined as
 // (l0 + l1) + (l2 + l3)). One body builds three passes: a portable one in
 // two 2-wide vectors (SSE2 at the baseline x86-64 ISA) and, on x86-64, an
@@ -41,10 +50,15 @@
 // lanes. search() runs the widest pass the CPU has (row_pass_isa() names
 // the choice); the lane order makes all three give the same bits. It pads
 // the query's spans to a multiple of eight devices with Vds = 0, so every
-// row but the last one or few runs only full blocks.
+// row but the last one or few runs only full blocks. The safe potential
+// comes from a margin pass per search value, built for the same three
+// instruction sets; its lanes are independent and min is exact, so all
+// three give the same value too.
 // search_reference() re-derives every factor and bias per query and per
-// row and then runs the same solve with the portable pass, so tests can
-// assert the cached tables and the wider passes reproduce it bit for bit
+// row, and from them each row's safe potential, and then runs the same
+// solve with the portable passes, so tests can assert the cached tables,
+// the cached safe potentials and the wider passes reproduce it bit for
+// bit on every row programmed since it was built or erased
 // (circuit/row_pass.hpp lists the passes for tests that run each).
 #pragma once
 
@@ -62,6 +76,10 @@
 #include "util/rng.hpp"
 
 namespace ferex::circuit {
+
+namespace detail {
+struct MarginModel;
+}  // namespace detail
 
 struct CrossbarConfig {
   device::CellParams cell{};
@@ -88,13 +106,19 @@ struct CrossbarConfig {
 /// (one solve per row per circuit-fidelity query). `iterations` counts
 /// the passes over the row after the first at Vscl = 0: the Newton step
 /// under the 1e-7 V tolerance that ends a solve runs no pass and is not
-/// counted, so a clamped solve averages 1.0-2.0, an unclamped one
-/// 2.0-4.2. `non_converged` counts solves that hit the 60-step cap
+/// counted, and neither is a step of a solve that finishes on the row's
+/// closed form. `closed_form` counts those solves, whose bracket lay
+/// below the row's safe potential: with the op-amp clamp 46-98% of them
+/// (81-95% over 512x64 rows), while a solve that falls back runs 1-2
+/// passes after its first, so `iterations` per solve reads 0.02-1.1
+/// there; without the clamp none closes, and a solve averages 2.0-4.2.
+/// `non_converged` counts solves that hit the 60-step cap
 /// without a step under the tolerance — surfaced through core/profiler
 /// instead of silently capping.
 struct SclSolveStats {
   std::uint64_t solves = 0;
   std::uint64_t iterations = 0;
+  std::uint64_t closed_form = 0;
   std::uint64_t non_converged = 0;
 };
 
@@ -144,7 +168,8 @@ class CrossbarArray {
   }
 
   /// Programs one row with a data vector (element values index the
-  /// encoding's stored rows). values.size() must equal dims().
+  /// encoding's stored rows), and sets the row's safe ScL potential from
+  /// its new devices. values.size() must equal dims().
   void program_row(std::size_t row, std::span<const int> values);
 
   /// Grows the array by one row and programs it — the streaming-insert
@@ -197,10 +222,13 @@ class CrossbarArray {
                              bool parallel_rows = false) const;
 
   /// Reference implementation of search(): biases re-derived from the
-  /// encoding/ladder per query and per-device factors per row, no cached
-  /// tables, and always the portable row pass. Same row solve as the
-  /// optimized kernel, so the two agree bit for bit; retained to guard
-  /// the tables, the gather and the wider passes.
+  /// encoding/ladder per query and per-device factors per row, each row's
+  /// safe potential derived from those, no cached tables, and always the
+  /// portable row and margin passes. Same row solve as the optimized
+  /// kernel, so the two agree bit for bit on every row programmed since
+  /// it was built or erased (search() gives a row that has not been no
+  /// safe potential, and solves it by passes); retained to guard the
+  /// tables, the safe potentials, the gather and the wider passes.
   std::vector<double> search_reference(std::span<const int> query) const;
 
   /// Ideal integer distance the array should report for (query, row),
@@ -247,6 +275,11 @@ class CrossbarArray {
   /// Shared tail of both constructors: erased-state arrays and every
   /// derived table, computed from the already-set fabrication arrays.
   void init_derived_state();
+  /// The margin pass's constants for this array's devices.
+  detail::MarginModel margin_model() const;
+  /// The row's margin from its programmed devices, by the widest margin
+  /// pass the CPU has (see scl_margin_v_).
+  double row_margin_of(std::size_t row) const;
   void validate_geometry() const;
   void validate_nominal_query(std::span<const int> query) const;
   std::size_t device_index(std::size_t row, std::size_t dim,
@@ -281,9 +314,26 @@ class CrossbarArray {
   std::vector<double> bias_gate_factor_;  ///< [sch*fefets+i] exp(Vgs*a)
   std::vector<double> inv_r_;         ///< per-device 1 / R
   std::vector<double> vth_factor_;    ///< per-device exp(-Vth*a)
+  /// [sch*dims*fefets + column] the biases of a query holding search
+  /// value sch in every dim, for the margin passes.
+  std::vector<double> value_vgs_;
+  std::vector<double> value_vds_;
+  std::vector<double> value_gate_factor_;
+  double vds_min_v_ = 0.0;            ///< smallest positive drain bias [V]
+  /// Per row: the ScL potential below which no device of the row changes
+  /// the form of its current under any search value, by the per-device
+  /// rules (the smallest margin pass over the search values).
+  /// Query-independent, so program_row sets it; a row built or erased and
+  /// not programmed since holds -infinity and solves by passes. A row's
+  /// safe potential is the lower of this and scl_guard_v_.
+  std::vector<double> scl_margin_v_;
+  /// The guard on every row's safe potential, over the array's largest
+  /// series R (MarginModel::guard_v).
+  double scl_guard_v_ = 0.0;
 
   mutable std::atomic<std::uint64_t> stat_solves_{0};
   mutable std::atomic<std::uint64_t> stat_iterations_{0};
+  mutable std::atomic<std::uint64_t> stat_closed_form_{0};
   mutable std::atomic<std::uint64_t> stat_non_converged_{0};
 };
 
