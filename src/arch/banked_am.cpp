@@ -18,10 +18,13 @@ BankedAm::BankedAm(BankedOptions options)
 }
 
 void BankedAm::configure(csp::DistanceMetric metric, int bits) {
+  // A metric or width no bank can take is rejected before anything
+  // changes, even with no bank built yet.
+  (void)csp::DistanceMatrix::make(metric, bits);
+  for (auto& bank : banks_) bank->configure(metric, bits);
   metric_ = metric;
   bits_ = bits;
   configured_ = true;
-  for (auto& bank : banks_) bank->configure(metric, bits);
 }
 
 std::unique_ptr<core::FerexEngine> BankedAm::make_bank(std::size_t b) const {

@@ -10,9 +10,11 @@ FerexEngine::FerexEngine(FerexOptions options)
     : options_(options), rng_(options.seed), lta_(options.lta) {}
 
 void FerexEngine::configure(csp::DistanceMetric metric, int bits) {
+  // Recorded only once the encoding exists: a rejected configure leaves
+  // the engine (and any snapshot of it) as it was.
+  configure(csp::DistanceMatrix::make(metric, bits));
   metric_ = metric;
   bits_ = bits;
-  configure(csp::DistanceMatrix::make(metric, bits));
 }
 
 void FerexEngine::configure(const csp::DistanceMatrix& dm) {

@@ -35,6 +35,11 @@ DistanceMatrix DistanceMatrix::make(DistanceMetric metric, int bits) {
   if (bits < 1 || bits > 8) {
     throw std::invalid_argument("DistanceMatrix: bits must be in [1, 8]");
   }
+  if (metric != DistanceMetric::kHamming &&
+      metric != DistanceMetric::kManhattan &&
+      metric != DistanceMetric::kEuclideanSquared) {
+    throw std::invalid_argument("DistanceMatrix: unknown metric");
+  }
   const std::size_t n = std::size_t{1} << bits;
   util::Matrix<int> m(n, n, 0);
   for (std::size_t sch = 0; sch < n; ++sch) {

@@ -29,7 +29,9 @@ int reference_distance(DistanceMetric metric, int a, int b);
 /// The target distance matrix for one AM cell.
 class DistanceMatrix {
  public:
-  /// Builds the 2^bits x 2^bits DM for a metric. bits in [1, 8].
+  /// Builds the 2^bits x 2^bits DM for a metric. bits in [1, 8]; throws
+  /// std::invalid_argument outside it or on a value no DistanceMetric
+  /// names.
   static DistanceMatrix make(DistanceMetric metric, int bits);
 
   /// Wraps an arbitrary user matrix (rows = search, cols = stored).

@@ -1,6 +1,7 @@
 #include "serve/am_index.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "util/parallel.hpp"
 
@@ -39,6 +40,38 @@ WriteReceipt AmIndex::update(std::size_t global_row,
                              std::span<const int> vector) {
   check_mutable("update");
   return do_update(global_row, vector);
+}
+
+void AmIndex::configure_composite(csp::DistanceMetric metric, int bits) {
+  check_mutable("configure_composite");
+  do_configure_composite(metric, bits);
+}
+
+void AmIndex::restore_state(BackendState state) {
+  check_mutable("restore_state");
+  do_restore_state(std::move(state));
+}
+
+std::size_t AmIndex::compact() {
+  check_mutable("compact");
+  return do_compact();
+}
+
+BackendState AmIndex::backend_state() const {
+  throw std::invalid_argument("AmIndex::backend_state: backend has no state");
+}
+
+void AmIndex::do_configure_composite(csp::DistanceMetric, int) {
+  throw std::invalid_argument(
+      "AmIndex::configure_composite: single-macro backend required");
+}
+
+void AmIndex::do_restore_state(BackendState) {
+  throw std::invalid_argument("AmIndex::restore_state: backend has no state");
+}
+
+std::size_t AmIndex::do_compact() {
+  throw std::invalid_argument("AmIndex::compact: backend cannot compact");
 }
 
 void AmIndex::validate_request(const SearchRequest& request) const {

@@ -49,6 +49,7 @@
 #include <string>
 #include <vector>
 
+#include "core/ferex.hpp"
 #include "core/hit.hpp"
 #include "csp/distance_matrix.hpp"
 #include "serve/reject.hpp"
@@ -135,6 +136,20 @@ struct SearchResponse {
 /// Receipt for one write-path operation (insert / remove / update).
 using WriteReceipt = core::WriteReceipt;
 
+/// A backend's whole state, backend-neutral: what snapshots persist and
+/// recovery installs, and where the fleet reads a shard's encoding and
+/// liveness. One engine state per macro, in row order; bank_rows 0 is a
+/// single macro.
+struct BackendState {
+  bool configured = false;
+  csp::DistanceMetric metric = csp::DistanceMetric::kHamming;
+  int bits = 0;
+  bool composite = false;
+  core::SearchFidelity fidelity = core::SearchFidelity::kCircuit;
+  std::size_t bank_rows = 0;
+  std::vector<core::FerexEngine::EngineState> banks;
+};
+
 /// Polymorphic serving interface over interchangeable FeReX backends.
 ///
 /// The non-virtual entry points own request validation (before any
@@ -175,6 +190,22 @@ class AmIndex {
   /// verify on a live slot, program-only on a removed slot (which comes
   /// back live). Validates the vector before mutating.
   WriteReceipt update(std::size_t global_row, std::span<const int> vector);
+
+  /// The backend-state interface, through which durability and the fleet
+  /// use a backend without knowing which one it is. A backend without an
+  /// operation (the fleet, test fakes) throws std::invalid_argument from
+  /// it and changes nothing.
+  ///
+  /// Composite (digit-decomposed) encodings: a single macro's only.
+  void configure_composite(csp::DistanceMetric metric, int bits);
+  /// Configures `state`'s encoding, then installs its banks from their
+  /// recorded fabrication, so searches and later inserts continue bit for
+  /// bit. The caller matches the state to this index first.
+  void restore_state(BackendState state);
+  /// Tombstone compaction, bit-identical to configure() + store() of the
+  /// survivors on a fresh index. Returns the slots reclaimed.
+  std::size_t compact();
+  virtual BackendState backend_state() const;
 
   /// Serves one request, consuming one ordinal (unless request.ordinal
   /// pins the noise stream). Throws std::invalid_argument /
@@ -248,6 +279,13 @@ class AmIndex {
   virtual WriteReceipt do_update(std::size_t global_row,
                                  std::span<const int> vector)
       REQUIRES(mutation_serialization_) = 0;
+  /// Backend-state cores; each throws std::invalid_argument unless
+  /// overridden.
+  virtual void do_configure_composite(csp::DistanceMetric metric, int bits)
+      REQUIRES(mutation_serialization_);
+  virtual void do_restore_state(BackendState state)
+      REQUIRES(mutation_serialization_);
+  virtual std::size_t do_compact() REQUIRES(mutation_serialization_);
 
   /// Throws MutationWhileServed when an AsyncAmIndex owns this index;
   /// on return the caller holds the (phantom) mutation capability.

@@ -1,5 +1,7 @@
 #include "serve/banked_index.hpp"
 
+#include <utility>
+
 namespace ferex::serve {
 
 BankedIndex::BankedIndex(arch::BankedOptions options)
@@ -25,6 +27,24 @@ WriteReceipt BankedIndex::do_update(std::size_t global_row,
                                     std::span<const int> vector) {
   return banked_.update(global_row, vector);
 }
+
+BackendState BankedIndex::backend_state() const {
+  BackendState state;
+  state.configured = banked_.configured();
+  state.metric = banked_.metric();
+  state.bits = banked_.bits();
+  state.fidelity = banked_.options().engine.fidelity;
+  state.bank_rows = banked_.options().bank_rows;
+  state.banks = banked_.snapshot_state().banks;
+  return state;
+}
+
+void BankedIndex::do_restore_state(BackendState state) {
+  banked_.configure(state.metric, state.bits);
+  banked_.restore_state({std::move(state.banks)});
+}
+
+std::size_t BankedIndex::do_compact() { return banked_.compact(); }
 
 std::size_t BankedIndex::stored_count() const noexcept {
   return banked_.stored_count();

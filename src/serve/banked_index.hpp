@@ -23,6 +23,10 @@ class BankedIndex final : public AmIndex {
  public:
   explicit BankedIndex(arch::BankedOptions options = {});
 
+  /// Every bank's state, in bank order. No composite encodings: banks
+  /// configure monolithic ones.
+  BackendState backend_state() const override;
+
   std::size_t stored_count() const noexcept override;
   std::size_t live_count() const noexcept override;
   std::size_t dims() const noexcept override;
@@ -40,6 +44,8 @@ class BankedIndex final : public AmIndex {
   WriteReceipt do_remove(std::size_t global_row) override;
   WriteReceipt do_update(std::size_t global_row,
                          std::span<const int> vector) override;
+  void do_restore_state(BackendState state) override;
+  std::size_t do_compact() override;
   SearchResponse search_core(std::span<const int> query, std::size_t k,
                              std::uint64_t ordinal) const override;
   void validate_backend_query(std::span<const int> query) const override;

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "serve/banked_index.hpp"
-#include "serve/engine_index.hpp"
 #include "serve/snapshot.hpp"
 #include "util/durable_file.hpp"
 #include "util/failpoint.hpp"
@@ -13,19 +11,28 @@ namespace ferex::serve {
 
 namespace {
 
+/// Composite encodings exist on a single macro only (bank_rows 0); a
+/// backend without a state has none either.
+bool single_macro(const AmIndex& index) {
+  try {
+    return index.backend_state().bank_rows == 0;
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+}
+
 void apply_record(AmIndex& index, const WalRecord& record) {
   switch (record.op) {
     case WalOp::kConfigure:
       if (record.composite) {
-        auto* engine_index = dynamic_cast<EngineIndex*>(&index);
-        if (engine_index == nullptr) {
+        if (!single_macro(index)) {
           // Not a deterministic live failure (the live run journaled
-          // this through an EngineIndex): recovering into the wrong
+          // this through a single macro): recovering into the wrong
           // backend must surface, not be swallowed as a replayed no-op.
           throw SnapshotMismatch(
               "WAL has a composite configure, index is not a single macro");
         }
-        engine_index->configure_composite(record.metric, record.bits);
+        index.configure_composite(record.metric, record.bits);
       } else {
         index.configure(record.metric, record.bits);
       }
@@ -102,14 +109,13 @@ void DurableIndex::configure(csp::DistanceMetric metric, int bits) {
 }
 
 void DurableIndex::configure_composite(csp::DistanceMetric metric, int bits) {
-  auto* engine_index = dynamic_cast<EngineIndex*>(&index_);
-  if (engine_index == nullptr) {
+  assert_sync_ownership();
+  if (!single_macro(index_)) {
     throw std::invalid_argument(
         "DurableIndex::configure_composite: single-macro backend required");
   }
-  assert_sync_ownership();
   wal_->append_configure(metric, bits, /*composite=*/true);
-  engine_index->configure_composite(metric, bits);
+  index_.configure_composite(metric, bits);
 }
 
 void DurableIndex::store(const std::vector<std::vector<int>>& database) {
@@ -156,14 +162,7 @@ void DurableIndex::checkpoint() {
 
 std::size_t DurableIndex::compact() {
   assert_sync_ownership();
-  std::size_t freed = 0;
-  if (auto* engine_index = dynamic_cast<EngineIndex*>(&index_)) {
-    freed = engine_index->engine().compact();
-  } else if (auto* banked_index = dynamic_cast<BankedIndex*>(&index_)) {
-    freed = banked_index->banked().compact();
-  } else {
-    throw std::invalid_argument("DurableIndex::compact: unsupported backend");
-  }
+  const std::size_t freed = index_.compact();
   // Compaction is not a journaled op (it rewrites physical layout, not
   // logical content): the checkpoint snapshot captures the compacted
   // state instead, so recovery never replays across the rewrite.

@@ -22,6 +22,11 @@
 // live run saw. Compaction is not journaled; it checkpoints instead
 // (the snapshot captures the compacted layout, provably bit-identical
 // to a fresh store() of the survivors).
+//
+// The layer knows no backend: composite configures, compaction and
+// snapshots go through AmIndex's backend-state interface, and a backend
+// without an operation throws std::invalid_argument before any record
+// is journaled.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +69,9 @@ class DurableIndex {
   /// Journaled mutations — same semantics and exceptions as the wrapped
   /// index's entry points, with one WAL record appended first.
   void configure(csp::DistanceMetric metric, int bits);
-  /// Journaled EngineIndex::configure_composite (throws
-  /// std::invalid_argument on any other backend, before journaling).
+  /// Journaled AmIndex::configure_composite. A backend other than a
+  /// single macro throws std::invalid_argument before journaling; a
+  /// composite record replayed into one is a SnapshotMismatch.
   void configure_composite(csp::DistanceMetric metric, int bits);
   void store(const std::vector<std::vector<int>>& database);
   WriteReceipt insert(std::span<const int> vector);
@@ -78,7 +84,7 @@ class DurableIndex {
   /// watermark is idempotent.
   void checkpoint();
 
-  /// Tombstone compaction (backend compact(), bit-identical to a fresh
+  /// Tombstone compaction (AmIndex::compact(), bit-identical to a fresh
   /// store() of the survivors) followed by a checkpoint. Returns the
   /// slots reclaimed.
   std::size_t compact();

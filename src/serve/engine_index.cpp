@@ -1,5 +1,7 @@
 #include "serve/engine_index.hpp"
 
+#include <utility>
+
 namespace ferex::serve {
 
 EngineIndex::EngineIndex(core::FerexOptions options)
@@ -9,10 +11,32 @@ void EngineIndex::do_configure(csp::DistanceMetric metric, int bits) {
   engine_.configure(metric, bits);
 }
 
-void EngineIndex::configure_composite(csp::DistanceMetric metric, int bits) {
-  check_mutable("configure_composite");
+void EngineIndex::do_configure_composite(csp::DistanceMetric metric,
+                                         int bits) {
   engine_.configure_composite(metric, bits);
 }
+
+BackendState EngineIndex::backend_state() const {
+  BackendState state;
+  state.configured = engine_.configured();
+  state.metric = engine_.metric();
+  state.bits = engine_.bits();
+  state.composite = engine_.codec() != nullptr;
+  state.fidelity = engine_.options().fidelity;
+  state.banks.push_back(engine_.snapshot_state());
+  return state;
+}
+
+void EngineIndex::do_restore_state(BackendState state) {
+  if (state.composite) {
+    engine_.configure_composite(state.metric, state.bits);
+  } else {
+    engine_.configure(state.metric, state.bits);
+  }
+  engine_.restore_state(std::move(state.banks.at(0)));
+}
+
+std::size_t EngineIndex::do_compact() { return engine_.compact(); }
 
 void EngineIndex::do_store(const std::vector<std::vector<int>>& database) {
   engine_.store(database);

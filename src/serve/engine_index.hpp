@@ -15,11 +15,8 @@ class EngineIndex final : public AmIndex {
  public:
   explicit EngineIndex(core::FerexOptions options = {});
 
-  /// Composite (digit-decomposed) encodings — the scalable path for
-  /// separable metrics past the exact CSP's reach. Engine-only: the
-  /// banked layer configures per-bank monolithic encodings. Guarded
-  /// like every other mutation.
-  void configure_composite(csp::DistanceMetric metric, int bits);
+  /// One bank, the engine's; bank_rows 0.
+  BackendState backend_state() const override;
 
   std::size_t stored_count() const noexcept override;
   std::size_t live_count() const noexcept override;
@@ -38,6 +35,9 @@ class EngineIndex final : public AmIndex {
   WriteReceipt do_remove(std::size_t global_row) override;
   WriteReceipt do_update(std::size_t global_row,
                          std::span<const int> vector) override;
+  void do_configure_composite(csp::DistanceMetric metric, int bits) override;
+  void do_restore_state(BackendState state) override;
+  std::size_t do_compact() override;
   SearchResponse search_core(std::span<const int> query, std::size_t k,
                              std::uint64_t ordinal) const override;
   void validate_backend_query(std::span<const int> query) const override;

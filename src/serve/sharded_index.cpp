@@ -13,19 +13,12 @@ namespace ferex::serve {
 
 namespace {
 
-/// Concatenated per-row live mask of one shard, in shard-local row
-/// order, for routing reconstruction after recovery.
-std::vector<std::uint8_t> shard_live_mask(const AmIndex& shard) {
-  if (const auto* engine = dynamic_cast<const EngineIndex*>(&shard)) {
-    const auto mask = engine->engine().live_mask();
-    return {mask.begin(), mask.end()};
-  }
-  const auto& banked = dynamic_cast<const BankedIndex&>(shard).banked();
+/// A shard's per-row live mask in shard-local row order (its banks'
+/// masks concatenated), for routing reconstruction after recovery.
+std::vector<std::uint8_t> live_mask(const BackendState& state) {
   std::vector<std::uint8_t> mask;
-  mask.reserve(banked.stored_count());
-  for (std::size_t b = 0; b < banked.bank_count(); ++b) {
-    const auto bank_mask = banked.bank(b).live_mask();
-    mask.insert(mask.end(), bank_mask.begin(), bank_mask.end());
+  for (const auto& bank : state.banks) {
+    mask.insert(mask.end(), bank.live.begin(), bank.live.end());
   }
   return mask;
 }
@@ -34,15 +27,11 @@ std::vector<std::uint8_t> shard_live_mask(const AmIndex& shard) {
 /// live row removed, an engine or banked array compacts to exactly a
 /// fresh one (configure() alone keeps rows).
 void empty_shard(AmIndex& shard) {
-  const auto mask = shard_live_mask(shard);
+  const auto mask = live_mask(shard.backend_state());
   for (std::size_t local = 0; local < mask.size(); ++local) {
     if (mask[local] != 0) shard.remove(local);
   }
-  if (auto* engine = dynamic_cast<EngineIndex*>(&shard)) {
-    engine->engine().compact();
-  } else {
-    dynamic_cast<BankedIndex&>(shard).banked().compact();
-  }
+  shard.compact();
 }
 
 }  // namespace
@@ -321,34 +310,24 @@ SearchResponse ShardedIndex::search_shard(std::size_t shard,
 
 void ShardedIndex::rebuild_routing() {
   check_mutable("rebuild_routing");
-  // Recovery replays configure into each shard, not through this layer:
-  // adopt the cache from any configured shard (they all agree — a fleet
-  // configures as one).
-  for (const auto& shard : shards_) {
-    const auto* engine = dynamic_cast<const EngineIndex*>(shard.get());
-    if (engine != nullptr && engine->engine().configured()) {
-      metric_ = engine->engine().metric();
-      bits_ = engine->engine().bits();
-      configured_ = true;
-      break;
-    }
-    const auto* banked = dynamic_cast<const BankedIndex*>(shard.get());
-    if (banked != nullptr && banked->banked().configured()) {
-      metric_ = banked->banked().metric();
-      bits_ = banked->banked().bits();
-      configured_ = true;
-      break;
-    }
-  }
   stored_ = 0;
   dims_ = 0;
   free_rows_.clear();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const AmIndex& shard = *shards_[s];
+    const BackendState state = shard.backend_state();
+    // Recovery replays configure into each shard, not through this
+    // layer: adopt the encoding of any configured shard (they all agree
+    // — a fleet configures as one).
+    if (state.configured) {
+      metric_ = state.metric;
+      bits_ = state.bits;
+      configured_ = true;
+    }
     stored_ += shard.stored_count();
     shard_live_[s] = shard.live_count();
     if (shard.stored_count() > 0) dims_ = shard.dims();
-    const auto mask = shard_live_mask(shard);
+    const auto mask = live_mask(state);
     for (std::size_t local = 0; local < mask.size(); ++local) {
       if (mask[local] == 0) free_rows_.insert(to_global(s, local));
     }

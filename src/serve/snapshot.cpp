@@ -3,10 +3,9 @@
 #include <cerrno>
 #include <cstring>
 #include <system_error>
+#include <utility>
 
 #include "encode/serialize.hpp"
-#include "serve/banked_index.hpp"
-#include "serve/engine_index.hpp"
 #include "util/durable_file.hpp"
 
 namespace ferex::serve {
@@ -76,56 +75,49 @@ core::FerexEngine::EngineState get_engine_state(encode::ByteReader& in) {
   return state;
 }
 
-std::uint8_t fidelity_code(core::SearchFidelity fidelity) {
-  return fidelity == core::SearchFidelity::kCircuit ? 0 : 1;
+const char* fidelity_name(core::SearchFidelity fidelity) {
+  return fidelity == core::SearchFidelity::kCircuit ? "circuit" : "nominal";
 }
 
-const char* fidelity_name(std::uint8_t code) {
-  return code == 0 ? "circuit" : "nominal";
+/// Reads one u8 (`width` 1) or u32 header field and checks it as it is
+/// read: a value no build writes is malformed bytes at the field.
+std::uint32_t header_field(encode::ByteReader& in, int width, std::uint32_t lo,
+                           std::uint32_t hi, const char* name) {
+  const std::uint64_t at = in.offset();
+  const std::uint32_t value = width == 1 ? in.u8() : in.u32();
+  if (value < lo || value > hi) {
+    throw encode::CorruptSnapshot(
+        at, std::string(name) + " " + std::to_string(value) + " out of range");
+  }
+  return value;
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> encode_snapshot(const AmIndex& index,
                                           std::uint64_t wal_watermark) {
+  const BackendState state = index.backend_state();
+  if (!state.configured) {
+    throw std::logic_error("encode_snapshot: configure() first");
+  }
   encode::ByteWriter payload;
-  if (const auto* engine_index = dynamic_cast<const EngineIndex*>(&index)) {
-    const core::FerexEngine& engine = engine_index->engine();
-    if (!engine.configured()) {
-      throw std::logic_error("encode_snapshot: configure() first");
-    }
-    payload.u8(kBackendEngine);
-    payload.u8(fidelity_code(engine.options().fidelity));
-    payload.u8(engine.codec() != nullptr ? 1 : 0);
-    payload.u32(static_cast<std::uint32_t>(engine.metric()));
-    payload.u32(static_cast<std::uint32_t>(engine.bits()));
-    payload.u64(wal_watermark);
-    payload.u64(index.query_serial());
-    put_engine_state(payload, engine.snapshot_state());
-  } else if (const auto* banked_index =
-                 dynamic_cast<const BankedIndex*>(&index)) {
-    const arch::BankedAm& banked = banked_index->banked();
-    if (!banked.configured()) {
-      throw std::logic_error("encode_snapshot: configure() first");
-    }
-    payload.u8(kBackendBanked);
-    payload.u8(fidelity_code(banked.options().engine.fidelity));
-    payload.u8(0);  // composite is engine-only
-    payload.u32(static_cast<std::uint32_t>(banked.metric()));
-    payload.u32(static_cast<std::uint32_t>(banked.bits()));
-    payload.u64(wal_watermark);
-    payload.u64(index.query_serial());
-    const arch::BankedAm::BankedState state = banked.snapshot_state();
-    const std::size_t bank_rows = banked.options().bank_rows;
-    payload.u64(bank_rows);
+  payload.u8(state.bank_rows == 0 ? kBackendEngine : kBackendBanked);
+  payload.u8(state.fidelity == core::SearchFidelity::kCircuit ? 0 : 1);
+  payload.u8(state.composite ? 1 : 0);
+  payload.u32(static_cast<std::uint32_t>(state.metric));
+  payload.u32(static_cast<std::uint32_t>(state.bits));
+  payload.u64(wal_watermark);
+  payload.u64(index.query_serial());
+  if (state.bank_rows == 0) {
+    put_engine_state(payload, state.banks.front());
+  } else {
+    payload.u64(state.bank_rows);
     payload.u64(0);  // reserved (was the banked query serial)
     payload.u64(state.banks.size());
     for (std::size_t b = 0; b < state.banks.size(); ++b) {
-      payload.u64(b * bank_rows);  // the bank's first global row
+      payload.u64(b * state.bank_rows);  // the bank's first global row
       put_engine_state(payload, state.banks[b]);
     }
-  } else {
-    throw std::invalid_argument("encode_snapshot: unsupported backend");
   }
 
   encode::ByteWriter out;
@@ -161,54 +153,33 @@ std::uint64_t install_snapshot(AmIndex& index,
     throw encode::CorruptSnapshot(sizeof kMagic + 4, "checksum mismatch");
   }
 
+  // The whole payload is parsed before the index is touched.
   encode::ByteReader payload(payload_bytes, payload_size);
-  const std::uint8_t backend = payload.u8();
-  const std::uint8_t fidelity = payload.u8();
-  const bool composite = payload.u8() != 0;
-  const auto metric = static_cast<csp::DistanceMetric>(payload.u32());
-  const int bits = static_cast<int>(payload.u32());
+  BackendState state;
+  state.configured = true;
+  const std::uint32_t backend =
+      header_field(payload, 1, kBackendEngine, kBackendBanked, "backend");
+  state.fidelity = header_field(payload, 1, 0, 1, "fidelity") == 0
+                       ? core::SearchFidelity::kCircuit
+                       : core::SearchFidelity::kNominal;
+  // Composite encodings are single-macro only.
+  state.composite = header_field(payload, 1, 0, backend == kBackendEngine,
+                                 "composite flag") != 0;
+  state.metric = static_cast<csp::DistanceMetric>(header_field(
+      payload, 4, 0,
+      static_cast<std::uint32_t>(csp::DistanceMetric::kEuclideanSquared),
+      "metric"));
+  state.bits = static_cast<int>(header_field(payload, 4, 1, 8, "bits"));
   const std::uint64_t watermark = payload.u64();
   const std::uint64_t serving_serial = payload.u64();
-
-  if (auto* engine_index = dynamic_cast<EngineIndex*>(&index)) {
-    if (backend != kBackendEngine) {
-      throw SnapshotMismatch("snapshot is banked, index is a single macro");
-    }
-    const std::uint8_t own =
-        fidelity_code(engine_index->engine().options().fidelity);
-    if (fidelity != own) {
-      throw SnapshotMismatch(std::string("snapshot fidelity is ") +
-                             fidelity_name(fidelity) + ", index is " +
-                             fidelity_name(own));
-    }
-    if (composite) {
-      engine_index->configure_composite(metric, bits);
-    } else {
-      engine_index->configure(metric, bits);
-    }
-    auto state = get_engine_state(payload);
-    payload.expect_end();
-    engine_index->engine().restore_state(std::move(state));
-  } else if (auto* banked_index = dynamic_cast<BankedIndex*>(&index)) {
-    if (backend != kBackendBanked) {
-      throw SnapshotMismatch("snapshot is a single macro, index is banked");
-    }
-    arch::BankedAm& banked = banked_index->banked();
-    const std::uint8_t own = fidelity_code(banked.options().engine.fidelity);
-    if (fidelity != own) {
-      throw SnapshotMismatch(std::string("snapshot fidelity is ") +
-                             fidelity_name(fidelity) + ", index is " +
-                             fidelity_name(own));
-    }
-    banked_index->configure(metric, bits);
-    const std::uint64_t bank_rows = payload.u64();
-    if (bank_rows != banked.options().bank_rows) {
-      throw SnapshotMismatch(
-          "snapshot bank_rows " + std::to_string(bank_rows) +
-          ", index bank_rows " + std::to_string(banked.options().bank_rows));
+  if (backend == kBackendEngine) {
+    state.banks.push_back(get_engine_state(payload));
+  } else {
+    state.bank_rows = payload.u64();
+    if (state.bank_rows == 0) {
+      throw encode::CorruptSnapshot(payload.offset() - 8, "bank_rows 0");
     }
     (void)payload.u64();  // reserved: ignored
-    arch::BankedAm::BankedState state;
     const std::uint64_t bank_count = payload.u64();
     if (bank_count > payload.remaining()) {
       throw encode::CorruptSnapshot(payload.offset(), "bank count too large");
@@ -217,24 +188,39 @@ std::uint64_t install_snapshot(AmIndex& index,
     // must be its bank's first row, and each bank must hold what store()
     // and insert() build — bank_rows rows, the last bank 1..bank_rows.
     for (std::uint64_t b = 0; b < bank_count; ++b) {
-      if (payload.u64() != b * bank_rows) {
+      if (payload.u64() != b * state.bank_rows) {
         throw SnapshotMismatch("bank " + std::to_string(b) +
                                " offset is not bank * bank_rows");
       }
       state.banks.push_back(get_engine_state(payload));
       const std::size_t rows = state.banks.back().database.size();
-      if (b + 1 == bank_count ? (rows == 0 || rows > bank_rows)
-                              : rows != bank_rows) {
+      if (b + 1 == bank_count ? (rows == 0 || rows > state.bank_rows)
+                              : rows != state.bank_rows) {
         throw SnapshotMismatch("bank " + std::to_string(b) + " holds " +
                                std::to_string(rows) + " rows at bank_rows " +
-                               std::to_string(bank_rows));
+                               std::to_string(state.bank_rows));
       }
     }
-    payload.expect_end();
-    banked.restore_state(std::move(state));
-  } else {
-    throw std::invalid_argument("install_snapshot: unsupported backend");
   }
+  payload.expect_end();
+
+  const BackendState own = index.backend_state();
+  if ((state.bank_rows == 0) != (own.bank_rows == 0)) {
+    throw SnapshotMismatch(state.bank_rows == 0
+                               ? "snapshot is a single macro, index is banked"
+                               : "snapshot is banked, index is a single macro");
+  }
+  if (state.fidelity != own.fidelity) {
+    throw SnapshotMismatch(std::string("snapshot fidelity is ") +
+                           fidelity_name(state.fidelity) + ", index is " +
+                           fidelity_name(own.fidelity));
+  }
+  if (state.bank_rows != own.bank_rows) {
+    throw SnapshotMismatch("snapshot bank_rows " +
+                           std::to_string(state.bank_rows) +
+                           ", index bank_rows " + std::to_string(own.bank_rows));
+  }
+  index.restore_state(std::move(state));
   index.set_query_serial(serving_serial);
   return watermark;
 }

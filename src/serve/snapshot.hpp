@@ -28,9 +28,15 @@
 // typed SnapshotMismatch naming what differs. Never UB, never a
 // silently wrong index.
 //
+// The codec knows no backend: it persists AmIndex::backend_state() and
+// installs through AmIndex::restore_state(). Its one branch is the v1
+// layout (bank_rows 0 is a single macro). The whole payload, each header
+// field range-checked as it is read, is parsed before the index is
+// touched.
+//
 // Options are not serialized: the caller constructs the index with the
-// deployment's own FerexOptions/BankedOptions; load re-runs configure()
-// with the recorded metric/bits before installing state.
+// deployment's own FerexOptions/BankedOptions; restore_state() re-runs
+// configure with the recorded metric/bits before installing state.
 #pragma once
 
 #include <cstdint>
@@ -52,9 +58,9 @@ class SnapshotMismatch : public std::runtime_error {  // ferex-lint: allow(rejec
       : std::runtime_error("snapshot mismatch: " + what) {}
 };
 
-/// Serializes the full state of an EngineIndex or BankedIndex (other
-/// backends throw std::invalid_argument). `wal_watermark` is the last
-/// WAL sequence number already reflected in this state.
+/// Serializes the index's backend_state() (a backend without one throws
+/// std::invalid_argument). `wal_watermark` is the last WAL sequence
+/// number already reflected in this state.
 std::vector<std::uint8_t> encode_snapshot(const AmIndex& index,
                                           std::uint64_t wal_watermark);
 

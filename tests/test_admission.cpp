@@ -5,23 +5,22 @@
 // — and the contract that traffic with no deadline and FIFO placement
 // is bit-identical to the synchronous path.
 //
-// Deterministic shedding uses a gated stub backend (the test decides
-// when the dispatcher is busy and how deep the queue is) that logs the
-// order of backend calls, so priority placement is observable. Parity
-// and stats suites run against the real backends.
+// Deterministic shedding uses the gated stub backend of gated_index.hpp
+// (the test decides when the dispatcher is busy and how deep the queue
+// is), whose log of backend calls makes priority placement observable.
+// Parity and stats suites run against the real backends.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <future>
-#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "data/datasets.hpp"
+#include "gated_index.hpp"
 #include "serve/async_index.hpp"
 #include "serve/banked_index.hpp"
 #include "serve/engine_index.hpp"
@@ -61,91 +60,6 @@ void expect_bit_identical(const SearchResponse& a, const SearchResponse& b) {
 }
 
 // ------------------------------------------------------------ fixture --
-
-/// Gated stub backend with an operation log. Searches block while the
-/// gate is closed (announcing themselves first); every backend call —
-/// search or update — appends to the log, so tests can assert the exact
-/// service order that admission placement produced. Log entries:
-/// searches append -(ordinal + 1), updates append their row.
-class GatedIndex final : public AmIndex {
- public:
-  std::size_t stored_count() const noexcept override { return 8; }
-  std::size_t live_count() const noexcept override { return 8; }
-  std::size_t dims() const noexcept override { return 2; }
-  std::size_t bank_count() const noexcept override { return 1; }
-
-  void close_gate() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    gate_open_ = false;
-  }
-
-  void open_gate() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      gate_open_ = true;
-    }
-    gate_.notify_all();
-  }
-
-  /// Blocks until `count` search_core calls have announced themselves
-  /// (entered the backend) since construction.
-  void wait_entered(std::size_t count) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    entered_cv_.wait(lock, [&] { return entered_ >= count; });
-  }
-
-  std::vector<long> log() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return log_;
-  }
-
- protected:
-  void do_configure(csp::DistanceMetric, int) override {}
-  void do_store(const std::vector<std::vector<int>>&) override {}
-  WriteReceipt do_insert(std::span<const int>) override { return {}; }
-  WriteReceipt do_remove(std::size_t row) override {
-    WriteReceipt receipt;
-    receipt.global_row = row;
-    return receipt;
-  }
-  WriteReceipt do_update(std::size_t row, std::span<const int>) override {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      log_.push_back(static_cast<long>(row));
-    }
-    WriteReceipt receipt;
-    receipt.global_row = row;
-    return receipt;
-  }
-  SearchResponse search_core(std::span<const int>, std::size_t k,
-                             std::uint64_t ordinal) const override {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      ++entered_;
-      log_.push_back(-static_cast<long>(ordinal) - 1);
-      entered_cv_.notify_all();
-      gate_.wait(lock, [&] { return gate_open_; });
-    }
-    SearchResponse response;
-    response.hits.resize(k);
-    response.hits.front().sensed_current_a = static_cast<double>(ordinal);
-    return response;
-  }
-
-  void validate_backend_query(std::span<const int> query) const override {
-    if (query.size() != dims()) {
-      throw std::invalid_argument("GatedIndex: query.size() != dims");
-    }
-  }
-
- private:
-  mutable std::mutex mutex_;
-  mutable std::condition_variable gate_;
-  mutable std::condition_variable entered_cv_;
-  mutable std::size_t entered_ = 0;
-  mutable std::vector<long> log_;
-  bool gate_open_ = true;
-};
 
 AsyncOptions immediate_options(std::size_t queue_depth,
                                std::size_t max_batch = 8) {

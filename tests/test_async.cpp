@@ -5,14 +5,13 @@
 // future — must all be deterministic and leak-free.
 //
 // Real-backend suites run against EngineIndex and BankedIndex at both
-// fidelities; lifecycle edges use a gated stub backend so "dispatcher is
-// busy" and "queue is full" are states the test controls, not races it
-// hopes for.
+// fidelities; lifecycle edges use the gated stub backend of
+// gated_index.hpp, so "dispatcher is busy" and "queue is full" are states
+// the test controls, not races it hopes for.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <future>
 #include <mutex>
 #include <stdexcept>
@@ -20,6 +19,7 @@
 #include <vector>
 
 #include "data/datasets.hpp"
+#include "gated_index.hpp"
 #include "serve/async_index.hpp"
 #include "serve/banked_index.hpp"
 #include "serve/engine_index.hpp"
@@ -191,84 +191,6 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // --------------------------------------------------------- lifecycle --
-
-/// Gated stub backend: every search_core blocks while the gate is
-/// closed (announcing itself first), so tests control exactly when the
-/// dispatcher is busy and how deep the queue is. Responses encode the
-/// ordinal so parity is still checkable.
-class GatedIndex final : public AmIndex {
- public:
-  std::size_t stored_count() const noexcept override { return 8; }
-  std::size_t live_count() const noexcept override { return 8; }
-  std::size_t dims() const noexcept override { return 2; }
-  std::size_t bank_count() const noexcept override { return 1; }
-
-  void close_gate() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    gate_open_ = false;
-  }
-
-  void open_gate() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      gate_open_ = true;
-    }
-    gate_.notify_all();
-  }
-
-  /// Blocks until `count` search_core calls have announced themselves
-  /// (entered the backend) since construction.
-  void wait_entered(std::size_t count) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    entered_cv_.wait(lock, [&] { return entered_ >= count; });
-  }
-
-  std::atomic<bool> throw_on_search{false};
-
- protected:
-  void do_configure(csp::DistanceMetric, int) override {}
-  void do_store(const std::vector<std::vector<int>>&) override {}
-  WriteReceipt do_insert(std::span<const int>) override { return {}; }
-  WriteReceipt do_remove(std::size_t row) override {
-    WriteReceipt receipt;
-    receipt.global_row = row;
-    return receipt;
-  }
-  WriteReceipt do_update(std::size_t row, std::span<const int>) override {
-    WriteReceipt receipt;
-    receipt.global_row = row;
-    return receipt;
-  }
-  SearchResponse search_core(std::span<const int>, std::size_t k,
-                             std::uint64_t ordinal) const override {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      ++entered_;
-      entered_cv_.notify_all();
-      gate_.wait(lock, [&] { return gate_open_; });
-    }
-    if (throw_on_search.load()) {
-      throw std::runtime_error("GatedIndex: injected backend failure");
-    }
-    SearchResponse response;
-    response.hits.resize(k);
-    response.hits.front().sensed_current_a = static_cast<double>(ordinal);
-    return response;
-  }
-
-  void validate_backend_query(std::span<const int> query) const override {
-    if (query.size() != dims()) {
-      throw std::invalid_argument("GatedIndex: query.size() != dims");
-    }
-  }
-
- private:
-  mutable std::mutex mutex_;
-  mutable std::condition_variable gate_;
-  mutable std::condition_variable entered_cv_;
-  mutable std::size_t entered_ = 0;
-  bool gate_open_ = true;
-};
 
 AsyncOptions immediate_options(std::size_t queue_depth,
                                std::size_t max_batch = 8) {

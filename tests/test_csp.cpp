@@ -57,6 +57,9 @@ TEST(DistanceMatrixT, RejectsBadArguments) {
                std::invalid_argument);
   EXPECT_THROW(DistanceMatrix::make(DistanceMetric::kHamming, 9),
                std::invalid_argument);
+  // A value no DistanceMetric names would build an all-zero matrix.
+  EXPECT_THROW(DistanceMatrix::make(static_cast<DistanceMetric>(3), 2),
+               std::invalid_argument);
   util::Matrix<int> bad(2, 2, 0);
   bad.at(0, 1) = -1;
   EXPECT_THROW(DistanceMatrix::custom(std::move(bad), "bad"),

@@ -488,6 +488,92 @@ TEST(SnapshotMismatchT, BankOffsetsAndShapesMustMatchArithmeticRouting) {
   }
 }
 
+TEST(SnapshotHeaderT, OutOfRangeFieldsAreCorruptAtTheirOffset) {
+  // Each header field is checked as it is read: a checksum-valid snapshot
+  // naming a backend, fidelity, composite flag, metric, width or bank
+  // height no build writes is malformed bytes at that field's payload
+  // offset, and the index is not touched. (Metric 256 once installed as
+  // Hamming, metric 3 failed inside the crossbar, bits 0 or 9 failed
+  // untyped in configure.)
+  const auto db = data::random_int_vectors(5, 4, 4, 1034);
+  auto engine = make_empty(Backend::kEngine, SearchFidelity::kCircuit);
+  engine->configure(DistanceMetric::kManhattan, 2);
+  engine->store(db);
+  const auto manhattan = serve::encode_snapshot(*engine, 1);
+  const auto banked = serve::encode_snapshot(
+      *make_index(Backend::kBanked, SearchFidelity::kCircuit, db), 1);
+  struct Case {
+    const std::vector<std::uint8_t>* snapshot;
+    Backend target;
+    std::size_t field;  // payload offset, see kSnapshotStateAt
+    int width;
+    std::uint64_t value;
+  };
+  const Case cases[] = {
+      {&manhattan, Backend::kEngine, 0, 1, 0},    // backend kind
+      {&manhattan, Backend::kEngine, 0, 1, 3},
+      {&manhattan, Backend::kEngine, 1, 1, 2},    // fidelity
+      {&manhattan, Backend::kEngine, 2, 1, 2},    // composite flag
+      {&manhattan, Backend::kEngine, 3, 4, 3},    // metric
+      {&manhattan, Backend::kEngine, 3, 4, 256},
+      {&manhattan, Backend::kEngine, 7, 4, 0},    // bits
+      {&manhattan, Backend::kEngine, 7, 4, 9},
+      {&banked, Backend::kBanked, 2, 1, 1},       // composite is one macro's
+      {&banked, Backend::kBanked, 27, 8, 0},      // bank_rows
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("payload byte " + std::to_string(c.field) + " = " +
+                 std::to_string(c.value));
+    auto bytes = *c.snapshot;
+    put_le(bytes, kSnapshotEnvelope + c.field, c.width, c.value);
+    reseal(bytes);
+    auto target = make_empty(c.target, SearchFidelity::kCircuit);
+    try {
+      serve::install_snapshot(*target, bytes);
+      ADD_FAILURE() << "an out-of-range header field must throw";
+    } catch (const encode::CorruptSnapshot& error) {
+      EXPECT_EQ(error.offset(), c.field);
+    }
+    EXPECT_THROW(serve::encode_snapshot(*target, 0), std::logic_error)
+        << "the index must stay unconfigured";
+  }
+}
+
+TEST_P(DurableParityT, RejectedConfigureLeavesTheRecordedEncodingAlone) {
+  // A configure no encoding exists for (a width outside [1, 8], a value
+  // no DistanceMetric names) journals, fails live and replays as the same
+  // no-op. It must leave the recorded metric and width alone on both
+  // backends, stored or not, or the next checkpoint would write a header
+  // that no install accepts.
+  const auto [backend, fidelity] = GetParam();
+  const auto db = data::random_int_vectors(5, 4, 4, 1035);
+  ScopedDir dir;
+  auto live = make_empty(backend, fidelity);
+  serve::DurableIndex durable(*live, dir.path());
+  const auto rejected = [&] {
+    EXPECT_THROW(durable.configure(DistanceMetric::kManhattan, 9),
+                 std::invalid_argument);
+    EXPECT_THROW(durable.configure(static_cast<DistanceMetric>(3), 2),
+                 std::invalid_argument);
+  };
+  durable.configure(DistanceMetric::kManhattan, 2);
+  const auto unstored = serve::encode_snapshot(*live, 0);
+  rejected();
+  EXPECT_EQ(serve::encode_snapshot(*live, 0), unstored);
+  durable.store(db);
+  const auto stored = serve::encode_snapshot(*live, 0);
+  rejected();
+  EXPECT_EQ(serve::encode_snapshot(*live, 0), stored);
+
+  auto replayed = make_empty(backend, fidelity);
+  EXPECT_EQ(serve::recover_index(*replayed, dir.path()), 6u);
+  EXPECT_EQ(serve::encode_snapshot(*replayed, 0), stored);
+  durable.checkpoint();
+  auto reloaded = make_empty(backend, fidelity);
+  EXPECT_EQ(serve::recover_index(*reloaded, dir.path()), 6u);
+  EXPECT_EQ(serve::encode_snapshot(*reloaded, 0), stored);
+}
+
 TEST(SnapshotFuzzT, EveryByteFlipAndTruncationIsTypedNeverSilent) {
   const auto db = data::random_int_vectors(4, 4, 4, 1008);
   const auto valid = serve::encode_snapshot(
@@ -864,6 +950,58 @@ TEST(DurableTriggerT, FreedFractionTriggersCompactionAutomatically) {
   serve::recover_index(recovered, dir.path());
   EXPECT_EQ(recovered.stored_count(), 4u);
   EXPECT_EQ(recovered.live_count(), 4u);
+}
+
+// ---------------------------------------------------------- composite --
+
+TEST(DurableCompositeT, JournaledCompositeRecoversAndOtherBackendsRefuseIt) {
+  // Composite (digit-decomposed) encodings are single-macro only. A
+  // journaled composite configure recovers to the live index, from the
+  // log alone and from a checkpoint; a banked array refuses one before
+  // anything is journaled, and recovering the log into one is the wrong
+  // backend, not a replayed no-op.
+  const auto db = data::random_int_vectors(6, 4, 16, 1031);
+  const auto queries = data::random_int_vectors(3, 4, 16, 1032);
+  const auto fresh = data::random_int_vectors(3, 4, 16, 1033);
+  arch::BankedOptions banked_options;
+  banked_options.bank_rows = 3;
+  ScopedDir dir;
+
+  serve::EngineIndex live{core::FerexOptions{}};
+  serve::DurableIndex durable(live, dir.path());
+  durable.configure_composite(DistanceMetric::kHamming, 4);
+  durable.store(db);
+  durable.remove(2);
+  durable.update(4, fresh[0]);
+  durable.insert(fresh[1]);  // reuses the freed slot
+  ASSERT_NE(live.engine().codec(), nullptr);
+  EXPECT_EQ(durable.last_seq(), 5u);
+
+  const auto expect_recovers_live = [&](std::uint64_t last) {
+    serve::EngineIndex recovered{core::FerexOptions{}};
+    EXPECT_EQ(serve::recover_index(recovered, dir.path()), last);
+    EXPECT_EQ(serve::encode_snapshot(recovered, last),
+              serve::encode_snapshot(live, last));
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      const serve::SearchRequest request(queries[q], 3, 40 + q);
+      expect_identical(recovered.search(request), live.search(request));
+    }
+    serve::BankedIndex banked(banked_options);
+    EXPECT_THROW(serve::recover_index(banked, dir.path()),
+                 serve::SnapshotMismatch);
+  };
+  expect_recovers_live(5);  // WAL only: the composite record replays
+  durable.checkpoint();
+  durable.insert(fresh[2]);
+  expect_recovers_live(6);  // snapshot, then the WAL tail
+
+  ScopedDir banked_dir;
+  serve::BankedIndex banked(banked_options);
+  serve::DurableIndex banked_durable(banked, banked_dir.path());
+  banked_durable.configure(DistanceMetric::kHamming, 2);
+  EXPECT_THROW(banked_durable.configure_composite(DistanceMetric::kHamming, 4),
+               std::invalid_argument);
+  EXPECT_EQ(banked_durable.last_seq(), 1u);
 }
 
 // ---------------------------------------------------- crash injection --

@@ -992,6 +992,27 @@ TEST(DurableShardedMismatchT, CompactionTriggerIsRejectedBeforeAnyWrite) {
   EXPECT_TRUE(std::filesystem::is_empty(dir.path()));
 }
 
+TEST(DurableShardedMismatchT, FleetHasNoBackendStateAndJournalsNothingForIt) {
+  // Each shard snapshots and compacts itself; the fleet has no backend
+  // state of its own. A composite configure, a compaction or a snapshot
+  // of the fleet is std::invalid_argument, raised before any WAL record.
+  const auto db = data::random_int_vectors(6, 5, 4, 2056);
+  ScopedDir dir;
+  serve::ShardedIndex fleet{
+      make_options(Backend::kEngine, SearchFidelity::kNominal, 2, 2)};
+  EXPECT_THROW(fleet.backend_state(), std::invalid_argument);
+  EXPECT_THROW(fleet.restore_state({}), std::invalid_argument);
+  serve::DurableIndex durable(fleet, dir.path());
+  durable.configure(DistanceMetric::kHamming, 2);
+  durable.store(db);
+  EXPECT_THROW(durable.configure_composite(DistanceMetric::kHamming, 4),
+               std::invalid_argument);
+  EXPECT_THROW(durable.compact(), std::invalid_argument);
+  EXPECT_THROW(durable.checkpoint(), std::invalid_argument);
+  EXPECT_EQ(durable.last_seq(), 2u);
+  EXPECT_EQ(fleet.stored_count(), db.size());
+}
+
 TEST(DurableShardedMismatchT, DamagedManifestIsTyped) {
   const auto db = data::random_int_vectors(6, 5, 4, 2055);
   const auto options =

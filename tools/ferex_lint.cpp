@@ -21,9 +21,11 @@
 //                  src/util/rng.* — determinism is a repo invariant
 //                  (seeded SplitMix64 everywhere).
 //   guarded-mutator  Every public AmIndex mutator definition
-//                  (configure/store/insert/remove/update) must call
-//                  check_mutable and delegate to its do_* core — the
-//                  template-method contract the async layer relies on.
+//                  (configure/store/insert/remove/update and the
+//                  backend-state configure_composite/restore_state/
+//                  compact) must call check_mutable and delegate to its
+//                  do_* core — the template-method contract the async
+//                  layer relies on.
 //   ordinal-before-validate  Inside one function, an ordinal advance
 //                  (++serial_ / serial_++ / query_serial_++ /
 //                  ++query_serial_ / serial_ = next /
@@ -339,8 +341,9 @@ void check_guarded_mutator(const FileCheck& f) {
   if (f.path.size() < 4 || f.path.compare(f.path.size() - 4, 4, ".cpp") != 0) {
     return;
   }
-  static constexpr std::string_view kOps[] = {"configure", "store", "insert",
-                                              "remove", "update"};
+  static constexpr std::string_view kOps[] = {
+      "configure",           "store",         "insert", "remove", "update",
+      "configure_composite", "restore_state", "compact"};
   for (const auto op : kOps) {
     const std::string needle = "AmIndex::" + std::string(op) + "(";
     for (std::size_t pos = f.code.find(needle); pos != std::string::npos;
